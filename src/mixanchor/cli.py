@@ -224,7 +224,7 @@ def cmd_fit(args) -> int:
     pooled = pool_draws(result.chains)
     summary = _summary_payload(pooled, family)
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
 
     grid = _density_grid(pooled)
     density_path = out_dir / "density.csv"
@@ -260,7 +260,7 @@ def cmd_fit(args) -> int:
         "outputs": chain_paths + [str(summary_path), str(density_path)],
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False), encoding="utf-8")
     for path in manifest["outputs"]:
         if not Path(path).exists():
             raise RuntimeError(f"declared output missing: {path}")
@@ -330,7 +330,7 @@ def cmd_summarize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = _summary_payload(pooled, family)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
     grid = _density_grid(pooled)
     _write_density_csv(out_dir / "density.csv", grid, density_curve(pooled, grid))
     return EXIT_OK

@@ -1,9 +1,18 @@
 """Adaptive Metropolis-within-Gibbs samplers for anchored mixtures.
 
-Three kernels are provided: the general Gaussian sampler (any k, both
-uniform priors), a two-component Gaussian sampler with the specialised
-Beta/Dirichlet (variant 1) or random-walk (variant 2) proposals, and the
-rate-family sampler shared by Poisson and exponential mixtures.
+Every sampler (general-k Gaussian, specialised two-component Gaussian, and
+the Poisson/exponential rate sampler) is a list of blocks, each a proposal
+with its scale kind, initial scale and target acceptance rate, plus a
+target log-density, an initial-state draw and a row recorder.  One driver
+owns the rest: entry checks, initial-state search, the Metropolis-Hastings
+step, acceptance flags, adaptation, chain columns and per-chain seeding.
+
+Asymmetric proposals (Beta, Dirichlet, Inverse-Gamma, independence moves)
+carry the full ``q(current|proposed) / q(proposed|current)`` correction, and
+blocks proposed on a transformed scale (log sigma, logit p, log-ratio
+simplex walks) the matching Jacobian.  A proposal outside the support skips
+the target but still draws its coin, so the random stream never depends on
+where the support ends.
 
 Proposal scales are tuned batch-by-batch toward the usual optimal
 acceptance rates, 0.44 for one-dimensional blocks and 0.234 for vector
@@ -12,18 +21,14 @@ the direction that pushes the observed rate toward its target.  Adaptation
 stops after a configurable horizon (half the run by default) so that the
 retained draws come from a fixed kernel; a flag restores never-ending
 adaptation.
-
-Asymmetric proposals (Beta, Dirichlet, Inverse-Gamma, independence moves)
-enter the acceptance ratio with the full ``q(current|proposed) /
-q(proposed|current)`` correction, and blocks proposed on a transformed
-scale (log sigma, logit p, log-ratio simplex walks) carry the matching
-Jacobian terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -230,9 +235,10 @@ class Chain:
     def post_burn(self, name: str) -> np.ndarray:
         return self.column(name)[self.burn_in:]
 
-    def acceptance_rate(self, block: str, start: int = 0) -> float:
+    def acceptance_rate(self, block: str, start: int = 0) -> float | None:
+        """Share of accepted proposals from ``start`` on; ``None`` if none are left."""
         flags = self.accepts[block][start:]
-        return float(flags.mean()) if len(flags) else math.nan
+        return float(flags.mean()) if len(flags) else None
 
     def record(self, t: int) -> ChainRecord:
         if self.family == "gaussian":
@@ -284,7 +290,8 @@ class RunResult:
 
 
 # --------------------------------------------------------------------------
-# density and proposal helpers
+# densities, the Metropolis-Hastings step and the proposals; each proposal
+# draws a candidate for one coordinate and returns ``(candidate | None, log_q)``
 
 
 def _log_beta_pdf(x: float, a: float, b: float) -> float:
@@ -315,6 +322,83 @@ def metropolis_accept(rng, log_ratio: float) -> bool:
     return math.log(u) < log_ratio
 
 
+def _mh_step(rng, state, lp, proposal, target):
+    """One Metropolis-Hastings decision; returns ``(state, lp, accepted)``.
+
+    ``proposal`` is ``(proposed | None, log q(state|proposed) - log
+    q(proposed|state))``; ``None`` lies outside the support.
+    """
+    proposed, log_q = proposal
+    lp_p = -math.inf if proposed is None else target(proposed)
+    if metropolis_accept(rng, -math.inf if lp_p == -math.inf else lp_p - lp + log_q):
+        return proposed, lp_p, True
+    return state, lp, False
+
+
+def _beta_proposal(rng, x, eps, offset=1.0):
+    a_fwd = x * eps + offset
+    b_fwd = (1.0 - x) * eps + offset
+    prop = rng.beta(a_fwd, b_fwd)
+    if not 0.0 < prop < 1.0:
+        return None, 0.0
+    lq_fwd = _log_beta_pdf(prop, a_fwd, b_fwd)
+    lq_rev = _log_beta_pdf(x, prop * eps + offset, (1.0 - prop) * eps + offset)
+    return prop, lq_rev - lq_fwd
+
+
+def _dirichlet_proposal(rng, v, eps, offset=1.0):
+    alpha_fwd = v * eps + offset
+    prop = rng.dirichlet(alpha_fwd)
+    if np.any(prop <= 0.0):
+        return None, 0.0
+    lq_fwd = _log_dirichlet_pdf(prop, alpha_fwd)
+    lq_rev = _log_dirichlet_pdf(v, prop * eps + offset)
+    return prop, lq_rev - lq_fwd
+
+
+def _invgamma_proposal(rng, x, shape, scale):
+    prop = scale / rng.gamma(shape)
+    return prop, _log_invgamma_pdf(x, shape, scale) - _log_invgamma_pdf(prop, shape, scale)
+
+
+def _invgamma_sigma_proposal(rng, sigma, shape, scale):
+    """Inverse-Gamma independence draw of sigma^2 as a move over sigma; the
+    ``-log sigma`` terms are the Jacobian of sigma -> sigma^2."""
+    sigma_sq_p, log_q = _invgamma_proposal(rng, sigma * sigma, shape, scale)
+    sigma_p = math.sqrt(sigma_sq_p)
+    return sigma_p, log_q - math.log(sigma_p) + math.log(sigma)
+
+
+def _normal_walk(rng, x, eps):
+    return x + eps * rng.standard_normal(), 0.0
+
+
+def _log_walk(rng, x, eps):
+    """Normal random walk on log x; the Jacobian makes it a move over x."""
+    log_x = math.log(x)
+    log_p = log_x + eps * rng.standard_normal()
+    return math.exp(log_p), log_p - log_x
+
+
+def _logit_walk(rng, p, eps):
+    """Normal random walk on logit p, as a move over p in (0, 1)."""
+    logit_p = math.log(p / (1.0 - p)) + eps * rng.standard_normal()
+    prop = 1.0 / (1.0 + math.exp(-logit_p))
+    if not 0.0 < prop < 1.0:
+        return None, 0.0
+    return prop, math.log(prop * (1.0 - prop)) - math.log(p * (1.0 - p))
+
+
+def _simplex_log_ratio_walk(rng, v, eps):
+    """Normal random walk on ``log(v[:-1] / v[-1])``, as a move over the simplex."""
+    chi = np.log(v[:-1] / v[-1])
+    expd = np.exp(chi + eps * rng.standard_normal(len(chi)))
+    prop = np.append(expd, 1.0) / (1.0 + expd.sum())
+    if np.any(prop <= 0.0):
+        return None, 0.0
+    return prop, float(np.sum(np.log(prop)) - np.sum(np.log(v)))
+
+
 def beta_concentration_step(rng, x, eps, logpost, offset=1.0, lp_cur=None):
     """Beta proposal ``Beta(x*eps + offset, (1-x)*eps + offset)`` with correction.
 
@@ -322,304 +406,178 @@ def beta_concentration_step(rng, x, eps, logpost, offset=1.0, lp_cur=None):
     (0, 1) to its target log-density.  Pass ``lp_cur`` to avoid re-evaluating
     the current point.
     """
-    a_fwd = x * eps + offset
-    b_fwd = (1.0 - x) * eps + offset
-    prop = rng.beta(a_fwd, b_fwd)
-    if lp_cur is None:
-        lp_cur = logpost(x)
-    lp_prop = logpost(prop)
-    if lp_prop == -math.inf:
-        metropolis_accept(rng, -math.inf)
-        return x, lp_cur, False
-    lq_fwd = _log_beta_pdf(prop, a_fwd, b_fwd)
-    lq_rev = _log_beta_pdf(x, prop * eps + offset, (1.0 - prop) * eps + offset)
-    if metropolis_accept(rng, lp_prop - lp_cur + lq_rev - lq_fwd):
-        return prop, lp_prop, True
-    return x, lp_cur, False
+    lp_cur = logpost(x) if lp_cur is None else lp_cur
+    return _mh_step(rng, x, lp_cur, _beta_proposal(rng, x, eps, offset), logpost)
 
 
 def dirichlet_concentration_step(rng, v, eps, logpost, offset=1.0, lp_cur=None):
     """Dirichlet proposal ``Dir(v*eps + offset)`` with full q-correction."""
-    alpha_fwd = v * eps + offset
-    prop = rng.dirichlet(alpha_fwd)
-    if lp_cur is None:
-        lp_cur = logpost(v)
-    lp_prop = logpost(prop)
-    if lp_prop == -math.inf or np.any(prop <= 0.0):
-        metropolis_accept(rng, -math.inf)
-        return v, lp_cur, False
-    lq_fwd = _log_dirichlet_pdf(prop, alpha_fwd)
-    lq_rev = _log_dirichlet_pdf(v, prop * eps + offset)
-    if metropolis_accept(rng, lp_prop - lp_cur + lq_rev - lq_fwd):
-        return prop, lp_prop, True
-    return v, lp_cur, False
+    lp_cur = logpost(v) if lp_cur is None else lp_cur
+    return _mh_step(rng, v, lp_cur, _dirichlet_proposal(rng, v, eps, offset), logpost)
 
 
 def invgamma_independence_step(rng, x, shape, scale, logpost, lp_cur=None):
     """Independence Inverse-Gamma proposal with its density correction."""
-    prop = scale / rng.gamma(shape)
-    if lp_cur is None:
-        lp_cur = logpost(x)
-    lp_prop = logpost(prop)
-    if lp_prop == -math.inf:
-        metropolis_accept(rng, -math.inf)
-        return x, lp_cur, False
-    lq_fwd = _log_invgamma_pdf(prop, shape, scale)
-    lq_rev = _log_invgamma_pdf(x, shape, scale)
-    if metropolis_accept(rng, lp_prop - lp_cur + lq_rev - lq_fwd):
-        return prop, lp_prop, True
-    return x, lp_cur, False
+    lp_cur = logpost(x) if lp_cur is None else lp_cur
+    return _mh_step(rng, x, lp_cur, _invgamma_proposal(rng, x, shape, scale), logpost)
 
 
-def _wrap(value: float, period: float) -> float:
-    wrapped = value % period
-    return wrapped
+# --------------------------------------------------------------------------
+# the block driver
 
 
-def _random_sign(rng) -> int:
-    return 1 if rng.random() < 0.5 else -1
+class _Block(NamedTuple):
+    """A block: ``propose(rng, state, scale) -> (proposed_state | None, log_q)``
+    plus its scale kind, initial scale and target acceptance rate."""
+
+    name: str
+    propose: Callable
+    kind: str = "fixed"
+    scale: float | None = None
+    rate: float | None = None
 
 
-class _BatchCounter:
-    """Acceptance counting for one adaptation batch."""
+def _on(field, proposal, sign=None):
+    """Lift a proposal for ``state[field]`` to the whole state.  With ``sign``, a
+    fair coin first redraws ``state[sign]``; being symmetric, it adds no ``log_q``."""
 
-    def __init__(self, names):
-        self.names = list(names)
-        self.reset()
+    def propose(rng, state, scale):
+        flip = {} if sign is None else {sign: 1 if rng.random() < 0.5 else -1}
+        value, log_q = proposal(rng, state[field], scale)
+        return (None if value is None else {**state, field: value, **flip}), log_q
 
-    def reset(self):
-        self.proposed = {name: 0 for name in self.names}
-        self.accepted = {name: 0 for name in self.names}
+    return propose
 
-    def update(self, name, accepted):
-        self.proposed[name] += 1
-        self.accepted[name] += int(accepted)
 
-    def rates(self):
-        return {
-            name: self.accepted[name] / self.proposed[name]
-            for name in self.names
-            if self.proposed[name]
-        }
+def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
+    """Run one chain of ``kernel``; returns ``(chain, final_bank)``.
+
+    A kernel is ``(blocks, target, init, row)``.  Its states are dicts keyed
+    by the target's argument names; ``init(rng)`` draws a candidate initial
+    state and ``row(state)`` maps ``Chain`` fields to one sweep's values.
+    """
+    blocks, target, init, row = kernel
+    for _ in range(100):
+        state = init(rng)
+        if np.isfinite(lp := target(state)):
+            break
+    else:
+        raise RuntimeError("could not find a finite initial log-posterior")
+
+    T, batch, horizon = config.iterations, config.batch_size, config.horizon
+    initial = {b.name: b.scale for b in blocks if b.kind != "fixed"}
+    initial.update(config.init_scales or {})
+    bank = ScaleBank(initial, {b.name: b.kind for b in blocks}, {b.name: b.rate for b in blocks})
+    accepts = {b.name: np.zeros(T, dtype=np.uint8) for b in blocks}
+    columns = {name: np.empty((T, *np.shape(value))) for name, value in row(state).items()}
+    log_posterior = columns["log_posterior"] = np.empty(T)
+
+    for t in range(T):
+        for block in blocks:
+            proposal = block.propose(rng, state, bank.scales.get(block.name))
+            state, lp, accepted = _mh_step(rng, state, lp, proposal, target)
+            accepts[block.name][t] = accepted
+        log_posterior[t] = lp
+        for name, value in row(state).items():
+            columns[name][t] = value
+        if (t + 1) % batch == 0 and t < horizon:
+            recent = slice(t + 1 - batch, t + 1)
+            bank = adapt_scales(bank, {b: float(f[recent].mean()) for b, f in accepts.items()})
+    scales = columns.pop("scales", None)
+    return Chain(family, k, config.burn_in, scales=scales, accepts=accepts, **columns), bank
+
+
+def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> RunResult:
+    """Check the data, then run ``build(...)``'s kernel once per spawned seed."""
+    data.check_family(family)
+    if family == "gaussian":
+        if data.n < 2:
+            raise ValueError(
+                "a gaussian mixture fit requires at least two observations for the "
+                "posterior to be proper"
+            )
+        if float(np.std(data.values, ddof=1)) == 0.0:
+            raise ValueError(
+                "a gaussian mixture fit requires at least two distinct observations "
+                "for the posterior to be proper (the sample standard deviation is 0)"
+            )
+    elif family == "poisson" and not np.any(data.values > 0):
+        raise ValueError(
+            "a poisson mixture fit requires at least one strictly positive "
+            "observation for the posterior to be proper"
+        )
+    if k < 2:
+        raise ValueError("need at least two components")
+    kernel = build(data, family, k, prior_spec, config)
+    runs = [
+        _run_chain(kernel, family, k, config, np.random.Generator(np.random.PCG64(child)))
+        for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
+    ]
+    return RunResult(chains=[c for c, _ in runs], banks=[b for _, b in runs], config=config)
 
 
 # --------------------------------------------------------------------------
 # Gaussian sampler, general k
 
 
-def default_gaussian_bank(k: int, n: int, data_sd: float, config: RunConfig) -> ScaleBank:
-    scales = {
-        "mu": 2.4 * data_sd / math.sqrt(n),
-        "sigma": max(1.5 / math.sqrt(n), 0.02),
-        "phi": float(n),
-        "p": 2.0 * float(n),
-        "xi_rw": 0.3,
-    }
-    kinds = {
-        "mu": "width",
-        "sigma": "width",
-        "xi_ind": "fixed",
-        "phi": "concentration",
-        "p": "concentration",
-        "xi_rw": "width",
-    }
-    targets = {
-        "mu": config.target_scalar,
-        "sigma": config.target_scalar,
-        "phi": config.target_scalar,
-        "p": config.target_vector if k > 2 else config.target_scalar,
-        "xi_rw": config.target_vector if k > 2 else config.target_scalar,
-    }
-    if k >= 3:
-        scales["varpi_rw"] = 0.3
-        kinds["varpi_ind"] = "fixed"
-        kinds["varpi_rw"] = "width"
-        targets["varpi_rw"] = config.target_vector if k > 3 else config.target_scalar
-    if config.init_scales:
-        scales.update(config.init_scales)
-    return ScaleBank(scales=scales, kinds=kinds, targets=targets)
-
-
-def _init_gaussian_state(data, k, prior_spec, rng):
+def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
+    n = data.n
     mu0 = float(np.mean(data.values))
-    sigma0 = float(np.std(data.values, ddof=1)) if data.n > 1 else 1.0
-    for _ in range(100):
+    sigma0 = float(np.std(data.values, ddof=1))
+    scalar = config.target_scalar
+    vector = config.target_vector if k > 2 else scalar
+
+    def init(rng):
         draws = sample_prior(prior_spec, k, "gaussian", 1, rng)
-        yield mu0, sigma0, draws.weights[0].copy(), float(draws.phi_sq[0]), int(
-            draws.phi_sign[0]
-        ), draws.xi[0].copy(), draws.varpi[0].copy()
+        return {
+            "mu": mu0,
+            "sigma": sigma0,
+            "weights": draws.weights[0].copy(),
+            "phi_sq": float(draws.phi_sq[0]),
+            "phi_sign": int(draws.phi_sign[0]),
+            "varpi": draws.varpi[0].copy(),
+            "xi": draws.xi[0].copy(),
+        }
 
+    def refresh_xi(rng, xi, _):
+        return rng.uniform(0.0, HALF_PI, size=k - 1), 0.0
 
-def _run_gaussian_chain(data, k, prior_spec, config, rng, bank):
-    x = data.values
-    T = config.iterations
-    horizon = config.horizon
+    def refresh_varpi(rng, varpi, _):
+        return sample_varpi(rng, k, 1)[0], 0.0
 
-    def logpost(mu, sigma, p, phi_sq, sign, xi, varpi):
-        return _gaussian_logpost(
-            data, prior_spec, mu, sigma, p, phi_sq, sign, varpi=varpi, xi=xi
-        )
+    def xi_walk(rng, xi, eps):
+        xi = xi + rng.uniform(-eps, eps, size=k - 1)
+        return (None if np.any(xi < 0.0) or np.any(xi > HALF_PI) else xi), 0.0
 
-    lp = -math.inf
-    for mu, sigma, p, phi_sq, sign, xi, varpi in _init_gaussian_state(
-        data, k, prior_spec, rng
-    ):
-        lp = logpost(mu, sigma, p, phi_sq, sign, xi, varpi)
-        if np.isfinite(lp):
-            break
-    if not np.isfinite(lp):
-        raise RuntimeError("could not find a finite initial log-posterior")
+    def varpi_walk(rng, varpi, eps):
+        # periodic wrapping: [0, pi) for all but the last angle, [0, 2 pi) for it
+        varpi = varpi + rng.uniform(-eps, eps, size=k - 2)
+        varpi[:-1] %= math.pi
+        varpi[-1] %= TWO_PI
+        return varpi, 0.0
 
-    block_names = ["mu", "sigma", "xi_ind", "phi", "p", "xi_rw"]
+    # the squared radius moves by Beta proposal, with a fair sign flip when k = 2
+    radius_move = _on("phi_sq", _beta_proposal, sign="phi_sign" if k == 2 else None)
+    blocks = [
+        _Block("mu", _on("mu", _normal_walk), "width", 2.4 * sigma0 / math.sqrt(n), scalar),
+        _Block("sigma", _on("sigma", _log_walk), "width", max(1.5 / math.sqrt(n), 0.02), scalar),
+        _Block("xi_ind", _on("xi", refresh_xi)),
+        _Block("phi", radius_move, "concentration", float(n), scalar),
+        _Block("p", _on("weights", _dirichlet_proposal), "concentration", 2.0 * float(n), vector),
+        _Block("xi_rw", _on("xi", xi_walk), "width", 0.3, vector),
+    ]
     if k >= 3:
-        block_names[3:3] = ["varpi_ind"]
-        block_names.append("varpi_rw")
-    counter = _BatchCounter(block_names)
-    accepts = {name: np.zeros(T, dtype=np.uint8) for name in block_names}
+        blocks.insert(3, _Block("varpi_ind", _on("varpi", refresh_varpi)))
+        varpi_rate = config.target_vector if k > 3 else scalar
+        blocks.append(_Block("varpi_rw", _on("varpi", varpi_walk), "width", 0.3, varpi_rate))
 
-    cols_lp = np.empty(T)
-    cols_mu = np.empty(T)
-    cols_sigma = np.empty(T)
-    cols_w = np.empty((T, k))
-    cols_locs = np.empty((T, k))
-    cols_scales = np.empty((T, k))
-    cols_phi = np.empty(T)
-    cols_sign = np.empty(T)
-    cols_xi = np.empty((T, k - 1))
-    cols_varpi = np.empty((T, k - 2))
-
-    for t in range(T):
-        # location walk
-        eps = bank.scales["mu"]
-        mu_p = mu + eps * rng.standard_normal()
-        lp_p = logpost(mu_p, sigma, p, phi_sq, sign, xi, varpi)
-        acc = metropolis_accept(rng, lp_p - lp)
-        if acc:
-            mu, lp = mu_p, lp_p
-        counter.update("mu", acc)
-        accepts["mu"][t] = acc
-
-        # log-scale walk; the walk lives on log(sigma), hence the Jacobian term
-        eps = bank.scales["sigma"]
-        log_sigma_p = math.log(sigma) + eps * rng.standard_normal()
-        sigma_p = math.exp(log_sigma_p)
-        lp_p = logpost(mu, sigma_p, p, phi_sq, sign, xi, varpi)
-        acc = metropolis_accept(rng, lp_p - lp + log_sigma_p - math.log(sigma))
-        if acc:
-            sigma, lp = sigma_p, lp_p
-        counter.update("sigma", acc)
-        accepts["sigma"][t] = acc
-
-        # independence refresh of the scale angles
-        xi_p = rng.uniform(0.0, HALF_PI, size=k - 1)
-        lp_p = logpost(mu, sigma, p, phi_sq, sign, xi_p, varpi)
-        acc = metropolis_accept(rng, lp_p - lp)
-        if acc:
-            xi, lp = xi_p, lp_p
-        counter.update("xi_ind", acc)
-        accepts["xi_ind"][t] = acc
-
-        if k >= 3:
-            # independence refresh of the location angles
-            varpi_p = sample_varpi(rng, k, 1)[0]
-            lp_p = logpost(mu, sigma, p, phi_sq, sign, xi, varpi_p)
-            acc = metropolis_accept(rng, lp_p - lp)
-            if acc:
-                varpi, lp = varpi_p, lp_p
-            counter.update("varpi_ind", acc)
-            accepts["varpi_ind"][t] = acc
-
-        # squared-radius Beta proposal (plus a fair sign flip when k = 2)
-        eps = bank.scales["phi"]
-        sign_p = _random_sign(rng) if k == 2 else sign
-        a_fwd = phi_sq * eps + 1.0
-        b_fwd = (1.0 - phi_sq) * eps + 1.0
-        phi_p = rng.beta(a_fwd, b_fwd)
-        lp_p = logpost(mu, sigma, p, phi_p, sign_p, xi, varpi)
-        if lp_p == -math.inf:
-            acc = metropolis_accept(rng, -math.inf)
-        else:
-            lq_fwd = _log_beta_pdf(phi_p, a_fwd, b_fwd)
-            lq_rev = _log_beta_pdf(phi_sq, phi_p * eps + 1.0, (1.0 - phi_p) * eps + 1.0)
-            acc = metropolis_accept(rng, lp_p - lp + lq_rev - lq_fwd)
-        if acc:
-            phi_sq, sign, lp = phi_p, sign_p, lp_p
-        counter.update("phi", acc)
-        accepts["phi"][t] = acc
-
-        # weight simplex via offset Dirichlet
-        p, lp, acc = dirichlet_concentration_step(
-            rng,
-            p,
-            bank.scales["p"],
-            lambda q: logpost(mu, sigma, q, phi_sq, sign, xi, varpi),
-            lp_cur=lp,
-        )
-        counter.update("p", acc)
-        accepts["p"][t] = acc
-
-        # scale-angle random walk; the support boundary rejects hard
-        eps = bank.scales["xi_rw"]
-        xi_p = xi + rng.uniform(-eps, eps, size=k - 1)
-        if np.any(xi_p < 0.0) or np.any(xi_p > HALF_PI):
-            lp_p = -math.inf
-        else:
-            lp_p = logpost(mu, sigma, p, phi_sq, sign, xi_p, varpi)
-        acc = metropolis_accept(rng, lp_p - lp)
-        if acc:
-            xi, lp = xi_p, lp_p
-        counter.update("xi_rw", acc)
-        accepts["xi_rw"][t] = acc
-
-        if k >= 3:
-            # location-angle random walk with periodic wrapping
-            eps = bank.scales["varpi_rw"]
-            varpi_p = varpi + rng.uniform(-eps, eps, size=k - 2)
-            for j in range(k - 3):
-                varpi_p[j] = _wrap(varpi_p[j], math.pi)
-            varpi_p[-1] = _wrap(varpi_p[-1], TWO_PI)
-            lp_p = logpost(mu, sigma, p, phi_sq, sign, xi, varpi_p)
-            acc = metropolis_accept(rng, lp_p - lp)
-            if acc:
-                varpi, lp = varpi_p, lp_p
-            counter.update("varpi_rw", acc)
-            accepts["varpi_rw"][t] = acc
-
+    def row(s):
         locs, scales, _ = standard_arrays_from_angular(
-            mu, sigma, p, phi_sq, sign, varpi, xi
+            s["mu"], s["sigma"], s["weights"], s["phi_sq"], s["phi_sign"], s["varpi"], s["xi"]
         )
-        cols_lp[t] = lp
-        cols_mu[t] = mu
-        cols_sigma[t] = sigma
-        cols_w[t] = p
-        cols_locs[t] = locs
-        cols_scales[t] = scales
-        cols_phi[t] = phi_sq
-        cols_sign[t] = sign
-        cols_xi[t] = xi
-        cols_varpi[t] = varpi
+        return {**s, "locs": locs, "scales": scales}
 
-        if (t + 1) % config.batch_size == 0 and t < horizon:
-            bank = adapt_scales(bank, counter.rates())
-            counter.reset()
-
-    chain = Chain(
-        family="gaussian",
-        k=k,
-        burn_in=config.burn_in,
-        log_posterior=cols_lp,
-        weights=cols_w,
-        locs=cols_locs,
-        scales=cols_scales,
-        accepts=accepts,
-        mu=cols_mu,
-        sigma=cols_sigma,
-        phi_sq=cols_phi,
-        phi_sign=cols_sign,
-        xi=cols_xi,
-        varpi=cols_varpi,
-    )
-    return chain, bank
+    return tuple(blocks), lambda s: _gaussian_logpost(data, prior_spec, **s), init, row
 
 
 def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
@@ -628,48 +586,14 @@ def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig
     Per iteration: a location walk, a log-scale walk, independence
     refreshes of the scale and location angles, a Beta move on the squared
     radius, an offset-Dirichlet move on the weights, and bounded random
-    walks on both angle sets.  Requires at least two observations, the
-    minimal sample size for a proper posterior under the 1/sigma prior.
+    walks on both angle sets.  Requires at least two distinct observations,
+    the minimal sample for a proper posterior under the 1/sigma prior.
     """
-    data.check_family("gaussian")
-    if data.n < 2:
-        raise ValueError(
-            "a gaussian mixture fit requires at least two observations for the "
-            "posterior to be proper"
-        )
-    if k < 2:
-        raise ValueError("need at least two components")
-    seed_seq = np.random.SeedSequence(config.seed)
-    chains, banks = [], []
-    data_sd = float(np.std(data.values, ddof=1))
-    for child in seed_seq.spawn(config.n_chains):
-        rng = np.random.Generator(np.random.PCG64(child))
-        bank = default_gaussian_bank(k, data.n, data_sd, config)
-        chain, final_bank = _run_gaussian_chain(data, k, prior_spec, config, rng, bank)
-        chains.append(chain)
-        banks.append(final_bank)
-    return RunResult(chains=chains, banks=banks, config=config)
+    return _sample(_gaussian_kernel, data, "gaussian", k, prior_spec, config)
 
 
 # --------------------------------------------------------------------------
 # Gaussian sampler, k = 2 specialisation
-
-
-def default_k2_bank(n: int, data_sd: float, config: RunConfig) -> ScaleBank:
-    if config.proposal == 1:
-        scales = {"mu": 2.0 * data_sd / math.sqrt(n), "p": float(n), "v": float(n)}
-        kinds = {"mu": "width", "sigma": "fixed", "p": "concentration", "v": "concentration"}
-    else:
-        scales = {"mu": 2.0 * data_sd / math.sqrt(n), "p": 0.5, "v": 0.5}
-        kinds = {"mu": "width", "sigma": "fixed", "p": "width", "v": "width"}
-    targets = {
-        "mu": config.target_scalar,
-        "p": config.target_scalar,
-        "v": config.target_vector,
-    }
-    if config.init_scales:
-        scales.update(config.init_scales)
-    return ScaleBank(scales=scales, kinds=kinds, targets=targets)
 
 
 def _k2_logpost(data, prior_spec, mu, sigma, p1, v, sign):
@@ -701,181 +625,80 @@ def _k2_logpost(data, prior_spec, mu, sigma, p1, v, sign):
         lp += -math.log(math.pi) - 0.5 * math.log(eta1_sq) - 0.5 * math.log(eta2_sq)
     if lp == -math.inf:
         return -math.inf
-    phi = sign * math.sqrt(phi_sq)
-    sq1, sq2 = math.sqrt(p1), math.sqrt(1.0 - p1)
-    gamma = np.array([-phi * sq2, phi * sq1])
-    eta = np.array([math.sqrt(eta1_sq), math.sqrt(eta2_sq)])
-    locs = mu + sigma * gamma / np.array([sq1, sq2])
-    scales = sigma * eta / np.array([sq1, sq2])
+    locs, scales = _k2_components(mu, sigma, p1, v, sign)
     return lp + loglik_gaussian_arrays(data.values, weights, locs, scales)
 
 
-def _run_gaussian_k2_chain(data, prior_spec, config, rng, bank):
-    x = data.values
+def _k2_components(mu, sigma, p1, v, sign):
+    """Component locations and scales of a k = 2 state."""
+    phi_sq, eta1_sq, eta2_sq = v
+    phi = sign * math.sqrt(phi_sq)
+    sq = np.sqrt([p1, 1.0 - p1])
+    locs = mu + sigma * np.array([-phi * sq[1], phi * sq[0]]) / sq
+    return locs, sigma * np.sqrt([eta1_sq, eta2_sq]) / sq
+
+
+def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
     n = data.n
-    xbar = float(np.mean(x))
-    svar = float(np.var(x, ddof=1))
-    T = config.iterations
-    horizon = config.horizon
+    xbar = float(np.mean(data.values))
+    svar = float(np.var(data.values, ddof=1))
     ig_shape = (n + 1) / 2.0
     ig_scale = (n - 1) * svar / 2.0
+    mu_scale = 2.0 * float(np.std(data.values, ddof=1)) / math.sqrt(n)
+    if config.proposal == 1:
+        weight_proposal = partial(_beta_proposal, offset=0.0)
+        simplex_proposal = partial(_dirichlet_proposal, offset=0.0)
+        kind, scale = "concentration", float(n)
+    else:
+        weight_proposal, simplex_proposal = _logit_walk, _simplex_log_ratio_walk
+        kind, scale = "width", 0.5
 
-    def logpost(mu, sigma, p1, v, sign):
-        return _k2_logpost(data, prior_spec, mu, sigma, p1, v, sign)
-
-    lp = -math.inf
-    for _ in range(100):
+    def init(rng):
         draws = sample_prior(prior_spec, 2, "gaussian", 1, rng)
-        p1 = float(draws.weights[0, 0])
-        sign = int(draws.phi_sign[0])
         phi_sq = float(draws.phi_sq[0])
         xi1 = float(draws.xi[0, 0])
         one_minus = 1.0 - phi_sq
-        v = np.array(
-            [phi_sq, one_minus * math.cos(xi1) ** 2, one_minus * math.sin(xi1) ** 2]
-        )
-        mu, sigma = xbar, math.sqrt(svar)
-        lp = logpost(mu, sigma, p1, v, sign)
-        if np.isfinite(lp):
-            break
-    if not np.isfinite(lp):
-        raise RuntimeError("could not find a finite initial log-posterior")
+        v = np.array([phi_sq, one_minus * math.cos(xi1) ** 2, one_minus * math.sin(xi1) ** 2])
+        return {
+            "mu": xbar,
+            "sigma": math.sqrt(svar),
+            "p1": float(draws.weights[0, 0]),
+            "v": v,
+            "sign": int(draws.phi_sign[0]),
+        }
 
-    block_names = ["mu", "sigma", "p", "v"]
-    counter = _BatchCounter(block_names)
-    accepts = {name: np.zeros(T, dtype=np.uint8) for name in block_names}
+    def mean_move(rng, mu, eps):
+        # independence proposal at the sample mean
+        prop = xbar + eps * rng.standard_normal()
+        return prop, 0.5 * ((prop - xbar) ** 2 - (mu - xbar) ** 2) / (eps * eps)
 
-    cols_lp = np.empty(T)
-    cols_mu = np.empty(T)
-    cols_sigma = np.empty(T)
-    cols_w = np.empty((T, 2))
-    cols_locs = np.empty((T, 2))
-    cols_scales = np.empty((T, 2))
-    cols_phi = np.empty(T)
-    cols_sign = np.empty(T)
-    cols_xi = np.empty((T, 1))
+    def variance_move(rng, sigma, _):
+        # independence Inverse-Gamma anchored at the sample variance
+        return _invgamma_sigma_proposal(rng, sigma, ig_shape, ig_scale)
 
-    for t in range(T):
-        # global mean: independence proposal at the sample mean
-        eps = bank.scales["mu"]
-        mu_p = xbar + eps * rng.standard_normal()
-        lp_p = logpost(mu_p, sigma, p1, v, sign)
-        lq_diff = 0.5 * ((mu_p - xbar) ** 2 - (mu - xbar) ** 2) / (eps * eps)
-        acc = metropolis_accept(rng, lp_p - lp + lq_diff)
-        if acc:
-            mu, lp = mu_p, lp_p
-        counter.update("mu", acc)
-        accepts["mu"][t] = acc
+    def row(s):
+        locs, scales = _k2_components(**s)
+        phi_sq, eta1_sq, eta2_sq = s["v"]
+        return {
+            "mu": s["mu"],
+            "sigma": s["sigma"],
+            "weights": [s["p1"], 1.0 - s["p1"]],
+            "locs": locs,
+            "scales": scales,
+            "phi_sq": phi_sq,
+            "phi_sign": s["sign"],
+            "xi": [math.atan2(math.sqrt(eta2_sq), math.sqrt(eta1_sq))],
+            "varpi": (),
+        }
 
-        # global variance: independence Inverse-Gamma anchored at the sample
-        # variance; the chain coordinate is sigma, so both the target and
-        # the proposal are re-expressed over sigma^2
-        sigma_sq_p = ig_scale / rng.gamma(ig_shape)
-        sigma_p = math.sqrt(sigma_sq_p)
-        lp_p = logpost(mu, sigma_p, p1, v, sign)
-        if lp_p == -math.inf:
-            acc = metropolis_accept(rng, -math.inf)
-        else:
-            target_diff = (lp_p - math.log(sigma_p)) - (lp - math.log(sigma))
-            lq_fwd = _log_invgamma_pdf(sigma_sq_p, ig_shape, ig_scale)
-            lq_rev = _log_invgamma_pdf(sigma * sigma, ig_shape, ig_scale)
-            acc = metropolis_accept(rng, target_diff + lq_rev - lq_fwd)
-        if acc:
-            sigma, lp = sigma_p, lp_p
-        counter.update("sigma", acc)
-        accepts["sigma"][t] = acc
-
-        # weight block
-        eps = bank.scales["p"]
-        if config.proposal == 1:
-            p1, lp, acc = beta_concentration_step(
-                rng,
-                p1,
-                eps,
-                lambda q: logpost(mu, sigma, q, v, sign),
-                offset=0.0,
-                lp_cur=lp,
-            )
-        else:
-            logit = math.log(p1 / (1.0 - p1))
-            logit_p = logit + eps * rng.standard_normal()
-            p_prop = 1.0 / (1.0 + math.exp(-logit_p))
-            lp_p = logpost(mu, sigma, p_prop, v, sign)
-            if lp_p == -math.inf:
-                acc = metropolis_accept(rng, -math.inf)
-            else:
-                jac = math.log(p_prop * (1.0 - p_prop)) - math.log(p1 * (1.0 - p1))
-                acc = metropolis_accept(rng, lp_p - lp + jac)
-            if acc:
-                p1, lp = p_prop, lp_p
-        counter.update("p", acc)
-        accepts["p"][t] = acc
-
+    blocks = (
+        _Block("mu", _on("mu", mean_move), "width", mu_scale, config.target_scalar),
+        _Block("sigma", _on("sigma", variance_move)),
+        _Block("p", _on("p1", weight_proposal), kind, scale, config.target_scalar),
         # joint (phi_sq, eta1_sq, eta2_sq) block plus a fair sign draw
-        eps = bank.scales["v"]
-        sign_p = _random_sign(rng)
-        if config.proposal == 1:
-            alpha_fwd = v * eps
-            v_p = rng.dirichlet(alpha_fwd)
-            lp_p = logpost(mu, sigma, p1, v_p, sign_p)
-            if lp_p == -math.inf or np.any(v_p <= 0.0):
-                acc = metropolis_accept(rng, -math.inf)
-            else:
-                lq_fwd = _log_dirichlet_pdf(v_p, alpha_fwd)
-                lq_rev = _log_dirichlet_pdf(v, v_p * eps)
-                acc = metropolis_accept(rng, lp_p - lp + lq_rev - lq_fwd)
-        else:
-            chi = np.log(v[:2] / v[2])
-            chi_p = chi + eps * rng.standard_normal(2)
-            expd = np.exp(chi_p)
-            denom = 1.0 + expd.sum()
-            v_p = np.array([expd[0] / denom, expd[1] / denom, 1.0 / denom])
-            lp_p = logpost(mu, sigma, p1, v_p, sign_p)
-            if lp_p == -math.inf:
-                acc = metropolis_accept(rng, -math.inf)
-            else:
-                jac = float(np.sum(np.log(v_p)) - np.sum(np.log(v)))
-                acc = metropolis_accept(rng, lp_p - lp + jac)
-        if acc:
-            v, sign, lp = v_p, sign_p, lp_p
-        counter.update("v", acc)
-        accepts["v"][t] = acc
-
-        phi_sq, eta1_sq, eta2_sq = v
-        phi = sign * math.sqrt(phi_sq)
-        sq = np.sqrt([p1, 1.0 - p1])
-        eta = np.sqrt([eta1_sq, eta2_sq])
-        cols_lp[t] = lp
-        cols_mu[t] = mu
-        cols_sigma[t] = sigma
-        cols_w[t] = [p1, 1.0 - p1]
-        cols_locs[t] = mu + sigma * np.array([-phi * sq[1], phi * sq[0]]) / sq
-        cols_scales[t] = sigma * eta / sq
-        cols_phi[t] = phi_sq
-        cols_sign[t] = sign
-        cols_xi[t, 0] = math.atan2(eta[1], eta[0])
-
-        if (t + 1) % config.batch_size == 0 and t < horizon:
-            bank = adapt_scales(bank, counter.rates())
-            counter.reset()
-
-    chain = Chain(
-        family="gaussian",
-        k=2,
-        burn_in=config.burn_in,
-        log_posterior=cols_lp,
-        weights=cols_w,
-        locs=cols_locs,
-        scales=cols_scales,
-        accepts=accepts,
-        mu=cols_mu,
-        sigma=cols_sigma,
-        phi_sq=cols_phi,
-        phi_sign=cols_sign,
-        xi=cols_xi,
-        varpi=np.zeros((T, 0)),
+        _Block("v", _on("v", simplex_proposal, sign="sign"), kind, scale, config.target_vector),
     )
-    return chain, bank
+    return blocks, lambda s: _k2_logpost(data, prior_spec, **s), init, row
 
 
 def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
@@ -887,145 +710,42 @@ def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> 
     globals independently: the mean from a normal law at the sample mean,
     the variance from an Inverse-Gamma law anchored at the sample variance.
     """
-    data.check_family("gaussian")
-    if data.n < 2:
-        raise ValueError(
-            "a gaussian mixture fit requires at least two observations for the "
-            "posterior to be proper"
-        )
-    seed_seq = np.random.SeedSequence(config.seed)
-    chains, banks = [], []
-    data_sd = float(np.std(data.values, ddof=1))
-    for child in seed_seq.spawn(config.n_chains):
-        rng = np.random.Generator(np.random.PCG64(child))
-        bank = default_k2_bank(data.n, data_sd, config)
-        chain, final_bank = _run_gaussian_k2_chain(data, prior_spec, config, rng, bank)
-        chains.append(chain)
-        banks.append(final_bank)
-    return RunResult(chains=chains, banks=banks, config=config)
+    return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config)
 
 
 # --------------------------------------------------------------------------
 # rate-family sampler (Poisson and exponential)
 
 
-def default_rate_bank(k: int, n: int, xbar: float, config: RunConfig) -> ScaleBank:
-    scales = {
-        "lam": 2.0 / math.sqrt(n * xbar + 1.0)
-        if config.lambda_proposal == "independence"
-        else 0.1,
-        "gamma": float(n),
-        "p": float(n),
-    }
-    kinds = {"lam": "width", "gamma": "concentration", "p": "concentration"}
-    vec_target = config.target_vector if k > 2 else config.target_scalar
-    targets = {"lam": config.target_scalar, "gamma": vec_target, "p": vec_target}
-    if config.init_scales:
-        scales.update(config.init_scales)
-    return ScaleBank(scales=scales, kinds=kinds, targets=targets)
-
-
-def _run_rate_chain(data, family, k, prior_spec, config, rng, bank):
-    T = config.iterations
-    horizon = config.horizon
+def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
     xbar = float(np.mean(data.values))
     log_xbar = math.log(xbar)
+    independence = config.lambda_proposal == "independence"
+    vector = config.target_vector if k > 2 else config.target_scalar
 
-    def logpost(lam, gamma, p):
-        return _rate_logpost(data, prior_spec, family, lam, gamma, p)
-
-    lp = -math.inf
-    for _ in range(100):
+    def init(rng):
         draws = sample_prior(prior_spec, k, family, 1, rng)
-        gamma = draws.gamma[0].copy()
-        p = draws.weights[0].copy()
-        lam = xbar
-        lp = logpost(lam, gamma, p)
-        if np.isfinite(lp):
-            break
-    if not np.isfinite(lp):
-        raise RuntimeError("could not find a finite initial log-posterior")
+        return {"lam": xbar, "gamma": draws.gamma[0].copy(), "weights": draws.weights[0].copy()}
 
-    block_names = ["lam", "gamma", "p"]
-    counter = _BatchCounter(block_names)
-    accepts = {name: np.zeros(T, dtype=np.uint8) for name in block_names}
+    def mean_move(rng, lam, eps):
+        # log-normal independence draw at the sample mean, as a move over lam
+        log_lam = log_xbar + eps * rng.standard_normal()
+        lq_fwd = -0.5 * ((log_lam - log_xbar) / eps) ** 2 - log_lam
+        lq_rev = -0.5 * ((math.log(lam) - log_xbar) / eps) ** 2 - math.log(lam)
+        return math.exp(log_lam), lq_rev - lq_fwd
 
-    cols_lp = np.empty(T)
-    cols_lam = np.empty(T)
-    cols_g = np.empty((T, k))
-    cols_w = np.empty((T, k))
-    cols_rates = np.empty((T, k))
-
-    for t in range(T):
-        # global mean rate on the log scale
-        eps = bank.scales["lam"]
-        if config.lambda_proposal == "independence":
-            log_lam_p = log_xbar + eps * rng.standard_normal()
-            lam_p = math.exp(log_lam_p)
-            lp_p = logpost(lam_p, gamma, p)
-            # q over lam includes the 1/lam Jacobian of the log-normal draw
-            lq_fwd = -0.5 * ((log_lam_p - log_xbar) / eps) ** 2 - log_lam_p
-            lq_rev = -0.5 * ((math.log(lam) - log_xbar) / eps) ** 2 - math.log(lam)
-            acc = metropolis_accept(rng, lp_p - lp + lq_rev - lq_fwd)
-        else:
-            log_lam_p = math.log(lam) + eps * rng.standard_normal()
-            lam_p = math.exp(log_lam_p)
-            lp_p = logpost(lam_p, gamma, p)
-            acc = metropolis_accept(rng, lp_p - lp + log_lam_p - math.log(lam))
-        if acc:
-            lam, lp = lam_p, lp_p
-        counter.update("lam", acc)
-        accepts["lam"][t] = acc
-
-        # rate-share simplex
-        gamma, lp, acc = dirichlet_concentration_step(
-            rng, gamma, bank.scales["gamma"], lambda g: logpost(lam, g, p), lp_cur=lp
-        )
-        counter.update("gamma", acc)
-        accepts["gamma"][t] = acc
-
-        # weight simplex
-        p, lp, acc = dirichlet_concentration_step(
-            rng, p, bank.scales["p"], lambda q: logpost(lam, gamma, q), lp_cur=lp
-        )
-        counter.update("p", acc)
-        accepts["p"][t] = acc
-
-        cols_lp[t] = lp
-        cols_lam[t] = lam
-        cols_g[t] = gamma
-        cols_w[t] = p
-        cols_rates[t] = lam * gamma / p
-
-        if (t + 1) % config.batch_size == 0 and t < horizon:
-            bank = adapt_scales(bank, counter.rates())
-            counter.reset()
-
-    chain = Chain(
-        family=family,
-        k=k,
-        burn_in=config.burn_in,
-        log_posterior=cols_lp,
-        weights=cols_w,
-        locs=cols_rates,
-        scales=None,
-        accepts=accepts,
-        lam=cols_lam,
-        gamma=cols_g,
+    lam_scale = 2.0 / math.sqrt(data.n * xbar + 1.0) if independence else 0.1
+    lam_move = _on("lam", mean_move if independence else _log_walk)
+    blocks = (
+        _Block("lam", lam_move, "width", lam_scale, config.target_scalar),
+        _Block("gamma", _on("gamma", _dirichlet_proposal), "concentration", float(data.n), vector),
+        _Block("p", _on("weights", _dirichlet_proposal), "concentration", float(data.n), vector),
     )
-    return chain, bank
 
+    def row(s):
+        return {**s, "locs": s["lam"] * s["gamma"] / s["weights"]}
 
-def _run_rate_family(data, family, k, prior_spec, config):
-    seed_seq = np.random.SeedSequence(config.seed)
-    chains, banks = [], []
-    for child in seed_seq.spawn(config.n_chains):
-        rng = np.random.Generator(np.random.PCG64(child))
-        bank = default_rate_bank(k, data.n, float(np.mean(data.values)), config)
-        chain, final_bank = _run_rate_chain(data, family, k, prior_spec, config, rng, bank)
-        chains.append(chain)
-        banks.append(final_bank)
-    return RunResult(chains=chains, banks=banks, config=config)
+    return blocks, lambda s: _rate_logpost(data, prior_spec, family, **s), init, row
 
 
 def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
@@ -1037,23 +757,12 @@ def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig)
     proposals.  At least one strictly positive count is required for the
     posterior to be proper under the 1/lam prior.
     """
-    data.check_family("poisson")
-    if not np.any(data.values > 0):
-        raise ValueError(
-            "a poisson mixture fit requires at least one strictly positive "
-            "observation for the posterior to be proper"
-        )
-    if k < 2:
-        raise ValueError("need at least two components")
-    return _run_rate_family(data, "poisson", k, prior_spec, config)
+    return _sample(_rate_kernel, data, "poisson", k, prior_spec, config)
 
 
 def mwg_exponential(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
     """Exponential mixture sampler; mirrors the Poisson kernel."""
-    data.check_family("exponential")
-    if k < 2:
-        raise ValueError("need at least two components")
-    return _run_rate_family(data, "exponential", k, prior_spec, config)
+    return _sample(_rate_kernel, data, "exponential", k, prior_spec, config)
 
 
 # --------------------------------------------------------------------------

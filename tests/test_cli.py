@@ -142,6 +142,41 @@ class TestFit:
         chain_to_csv(chain, rewritten)
         assert rewritten.read_bytes() == (out / "chain_0.csv").read_bytes()
 
+    def test_manifest_is_strict_json_when_adapting_throughout(self, gaussian_config, tmp_path):
+        # adapting to the end leaves no post-horizon window to measure
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "30",
+              "--seed", "4", "--out", str(data)])
+        config = tmp_path / "throughout.json"
+        config.write_text(json.dumps({
+            "family": "gaussian", "k": 2,
+            "run": {"iterations": 200, "burn_in": 50, "adapt_throughout": True},
+        }))
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        for chain in manifest["chains"]:
+            assert all(rate is None for rate in chain["acceptance_rates"].values())
+
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [0.0, 1e-300]])
+    @pytest.mark.parametrize("proposal", [[], ["--proposal", "1"]])
+    def test_zero_spread_data_refused_with_propriety_message(
+        self, tmp_path, capsys, values, proposal
+    ):
+        data = tmp_path / "tied.csv"
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+        code = main(["fit", "--family", "gaussian", "--k", "2", "--iters", "100",
+                     "--burnin", "10", "--data", str(data), "--out", str(tmp_path / "r"),
+                     *proposal])
+        assert code == 2
+        assert "at least two distinct observations" in capsys.readouterr().err
+
 
 class TestPriorSampleAndSummarize:
     def test_prior_sample_row_count(self, tmp_path):

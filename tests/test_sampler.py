@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from mixanchor import mixture_moments
-from mixanchor.likelihood import Dataset
+from mixanchor.likelihood import Dataset, log_posterior
 from mixanchor.postprocess import mcse_mean
 from mixanchor.priors import PriorSpec
 from mixanchor.sampler import (
@@ -22,6 +22,10 @@ from mixanchor.sampler import (
     mwg_gaussian,
     mwg_gaussian_k2,
     mwg_poisson,
+    _invgamma_sigma_proposal,
+    _logit_walk,
+    _mh_step,
+    _simplex_log_ratio_walk,
 )
 
 from conftest import simulate_gaussian, simulate_poisson_model1, TWO_COMP_TRUTH
@@ -137,6 +141,50 @@ class TestProposalCorrectness:
             below[2000:], stats.invgamma.cdf(1.0, shape_t, scale=scale_t), "invgamma step"
         )
 
+    # the kernels' own moves, driven by the same Metropolis-Hastings step
+
+    def test_logit_walk_targets_beta_law(self):
+        rng = np.random.default_rng(4)
+        target = lambda x: 2.0 * math.log(x) + math.log1p(-x) if 0 < x < 1 else -math.inf
+        x, lp = 0.5, target(0.5)
+        below = np.empty(40000)
+        for t in range(len(below)):
+            x, lp, _ = _mh_step(rng, x, lp, _logit_walk(rng, x, 1.5), target)
+            below[t] = x < 0.5
+        self._frequency_check(below[2000:], stats.beta.cdf(0.5, 3, 2), "logit walk")
+
+    def test_simplex_log_ratio_walk_targets_dirichlet_law(self):
+        rng = np.random.default_rng(5)
+        alpha = np.array([2.0, 3.0, 4.0])
+
+        def target(v):
+            if np.any(v <= 0):
+                return -math.inf
+            return float((alpha - 1.0) @ np.log(v))
+
+        v = np.array([1 / 3, 1 / 3, 1 / 3])
+        lp = target(v)
+        below = np.empty(40000)
+        for t in range(len(below)):
+            v, lp, _ = _mh_step(rng, v, lp, _simplex_log_ratio_walk(rng, v, 0.8), target)
+            below[t] = v[0] < 0.25
+        self._frequency_check(below[2000:], stats.beta.cdf(0.25, 2, 7), "log-ratio walk")
+
+    def test_invgamma_sigma_move_targets_invgamma_law_of_sigma_squared(self):
+        # sigma^2 ~ InvGamma(5, 4) written as a density over sigma:
+        # -(2 * 5 + 1) log sigma - 4 / sigma^2, up to a constant
+        rng = np.random.default_rng(6)
+        target = lambda s: -11.0 * math.log(s) - 4.0 / (s * s) if s > 0 else -math.inf
+        sigma, lp = 1.0, target(1.0)
+        below = np.empty(40000)
+        for t in range(len(below)):
+            proposal = _invgamma_sigma_proposal(rng, sigma, 3.0, 2.0)
+            sigma, lp, _ = _mh_step(rng, sigma, lp, proposal, target)
+            below[t] = sigma < 1.0
+        self._frequency_check(
+            below[2000:], stats.invgamma.cdf(1.0, 5.0, scale=4.0), "inverse-gamma sigma move"
+        )
+
 
 class TestChainMechanics:
     def test_rejected_iterations_repeat_state_bitwise(self, example1_k2_run):
@@ -190,6 +238,32 @@ class TestChainMechanics:
             mwg_poisson(
                 Dataset([0.0, 0.0, 0.0]), 2, PriorSpec(), RunConfig(iterations=10, burn_in=0)
             )
+
+
+@pytest.mark.parametrize(
+    "family, k, kind",
+    [
+        ("gaussian", 2, "double_uniform"),
+        ("gaussian", 3, "single_uniform"),
+        ("poisson", 2, "double_uniform"),
+        ("exponential", 2, "double_uniform"),
+    ],
+)
+def test_recorded_log_posterior_matches_public_reference(family, k, kind):
+    # a driver that records a stale value after an accepted move fails here
+    rng = np.random.default_rng(8)
+    if family == "gaussian":
+        values = np.concatenate([rng.normal(-3.0, 1.0, 20), rng.normal(4.0, 1.5, 30)])
+    elif family == "poisson":
+        values = rng.poisson(rng.choice([1.0, 6.0], size=60)).astype(float)
+    else:
+        values = rng.exponential(rng.choice([1.0, 5.0], size=60))
+    data, spec = Dataset(values), PriorSpec(kind=kind)
+    sampler = {"gaussian": mwg_gaussian, "poisson": mwg_poisson, "exponential": mwg_exponential}
+    config = RunConfig(iterations=300, burn_in=50, seed=2)
+    chain = sampler[family](data, k, spec, config).chains[0]
+    for t in range(0, len(chain), 7):
+        assert chain.log_posterior[t] == log_posterior(data, spec, chain.record(t).state)
 
 
 class TestGaussianPosteriors:
