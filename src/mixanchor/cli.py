@@ -148,7 +148,7 @@ def _select_sampler(family: str, k: int, config: RunConfig, args):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _summary_payload(pooled, family: str) -> dict:
+def _summary_payload(pooled) -> dict:
     map_params, map_index = find_map(pooled)
     relabelled, trace = relabel_map(pooled, map_params)
     report = detect_switching(trace)
@@ -169,7 +169,7 @@ def _summary_payload(pooled, family: str) -> dict:
             "centres": np.asarray(km["centres"]).tolist(),
             "medians": np.asarray(km["medians"]).tolist(),
         },
-        "family": family,
+        "family": pooled.family,
     }
 
 
@@ -191,6 +191,17 @@ def _write_density_csv(path, grid, curve) -> None:
         writer.writerow(["x", "density"])
         for x, d in zip(grid, curve):
             writer.writerow([repr(float(x)), repr(float(d))])
+
+
+def _write_summary(pooled, out_dir: Path) -> tuple[Path, Path]:
+    """Write ``summary.json`` (strict JSON) and ``density.csv``; return both paths."""
+    summary_path = out_dir / "summary.json"
+    summary = _summary_payload(pooled)
+    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
+    density_path = out_dir / "density.csv"
+    grid = _density_grid(pooled)
+    _write_density_csv(density_path, grid, density_curve(pooled, grid))
+    return summary_path, density_path
 
 
 def cmd_fit(args) -> int:
@@ -221,14 +232,7 @@ def cmd_fit(args) -> int:
         chain_to_csv(chain, path)
         chain_paths.append(str(path))
 
-    pooled = pool_draws(result.chains)
-    summary = _summary_payload(pooled, family)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
-
-    grid = _density_grid(pooled)
-    density_path = out_dir / "density.csv"
-    _write_density_csv(density_path, grid, density_curve(pooled, grid))
+    summary_paths = _write_summary(pool_draws(result.chains), out_dir)
 
     psrf = {}
     if config.n_chains >= 2:
@@ -257,7 +261,7 @@ def cmd_fit(args) -> int:
             for i, (path, rates) in enumerate(zip(chain_paths, result.acceptance_rates()))
         ],
         "psrf": psrf,
-        "outputs": chain_paths + [str(summary_path), str(density_path)],
+        "outputs": chain_paths + [str(path) for path in summary_paths],
     }
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False), encoding="utf-8")
@@ -325,14 +329,9 @@ def cmd_summarize(args) -> int:
     if not args.data:
         raise ValueError("summarize needs at least one chain CSV via --data")
     chains = [chain_from_csv(path, family=family, burn_in=burn_in) for path in args.data]
-    family = chains[0].family
-    pooled = pool_draws(chains)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _summary_payload(pooled, family)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
-    grid = _density_grid(pooled)
-    _write_density_csv(out_dir / "density.csv", grid, density_curve(pooled, grid))
+    _write_summary(pool_draws(chains), out_dir)
     return EXIT_OK
 
 

@@ -191,18 +191,11 @@ def _gaussian_logpost(
     varpi: np.ndarray,
     xi: np.ndarray,
 ) -> float:
+    # the prior densities below return -inf outside their own supports; only
+    # the log of sigma and the simplex sum are left to check here
     k = len(weights)
-    if sigma <= 0 or not 0.0 <= phi_sq <= 1.0:
+    if sigma <= 0 or abs(float(np.sum(weights)) - 1.0) > 1e-9:
         return -math.inf
-    if np.any(weights < MIN_WEIGHT) or abs(float(np.sum(weights)) - 1.0) > 1e-9:
-        return -math.inf
-    if np.any(xi < 0) or np.any(xi > math.pi / 2):
-        return -math.inf
-    if k >= 3:
-        if not 0.0 <= varpi[-1] <= 2 * math.pi:
-            return -math.inf
-        if k > 3 and (np.any(varpi[:-1] < 0) or np.any(varpi[:-1] > math.pi)):
-            return -math.inf
     lp = -math.log(sigma)
     lp += _log_dirichlet(weights, spec.alpha0)
     lp += _log_beta(phi_sq, *spec.phi_beta)

@@ -11,11 +11,11 @@ reported from the sequence of chosen permutations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .params import StandardParams
 from .sampler import Chain
@@ -34,8 +34,6 @@ __all__ = [
     "density_curve",
     "mcse_mean",
 ]
-
-MAX_EXHAUSTIVE_K = 8
 
 
 @dataclass
@@ -149,63 +147,40 @@ class PermutationTrace:
         return self.r.shape[0]
 
 
-def _feature_blocks(dm: DrawMatrix, mask) -> np.ndarray:
-    use_locs, use_scales, use_weights = mask
-    blocks = []
-    if use_locs:
-        blocks.append(dm.locs)
-    if use_scales and dm.scales is not None:
-        blocks.append(dm.scales)
-    if use_weights:
-        blocks.append(dm.weights)
-    if not blocks:
-        raise ValueError("relabelling needs at least one parameter block")
-    return np.stack(blocks, axis=2)  # (T, k, B)
+def _component_points(locs, scales, weights) -> np.ndarray:
+    """Per-component ``(loc, scale, weight)`` points on a new last axis.
+
+    The scale coordinate is left out when ``scales`` is ``None`` (rate
+    families).  Works for one parameter set (k,) and for draws (T, k) alike.
+    """
+    blocks = [locs] if scales is None else [locs, scales]
+    return np.stack(blocks + [weights], axis=-1)
 
 
-def relabel_map(
-    draws,
-    map_params: StandardParams,
-    mask: tuple[bool, bool, bool] = (True, True, True),
-    chunk: int = 20000,
-) -> tuple[DrawMatrix, PermutationTrace]:
+def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
     """Permute each draw to minimise its distance to the reference draw.
 
-    The distance is the Euclidean norm over the concatenated component
-    blocks selected by ``mask`` (locations, scales, weights), without
-    standardisation.  The search is exhaustive over all k! permutations and
-    is refused beyond k = 8; an assignment-based solver is the suitable
-    extension for larger k.
+    The distance is the Euclidean norm over the per-component ``(loc, scale,
+    weight)`` points (``(loc, weight)`` for rate families), without
+    standardisation.  It splits over components, so each draw's best
+    permutation solves a k x k linear assignment problem, which is solved
+    exactly for any k.  Ties between equally distant permutations are broken
+    deterministically by the solver.
     """
     dm = _coerce(draws)
-    k = dm.k
-    if k > MAX_EXHAUSTIVE_K:
-        raise ValueError(
-            f"exhaustive relabelling is limited to k <= {MAX_EXHAUSTIVE_K}; "
-            "use an assignment solver for larger k"
-        )
-    features = _feature_blocks(dm, mask)
-    ref_blocks = [map_params.locs]
-    if mask[1] and dm.scales is not None:
-        ref_blocks.append(map_params.scales)
-    if mask[2]:
-        ref_blocks.append(map_params.weights)
-    if not mask[0]:
-        ref_blocks = ref_blocks[1:]
-    ref = np.stack(ref_blocks, axis=1)  # (k, B)
+    points = _component_points(dm.locs, dm.scales, dm.weights)  # (T, k, B)
+    ref = _component_points(
+        map_params.locs,
+        None if dm.scales is None else map_params.scales,
+        map_params.weights,
+    )  # (k, B)
+    diff = points[:, None, :, :] - ref[None, :, None, :]
+    # cost[t, i, j]: squared distance from original component j to reference component i
+    cost = np.einsum("tijb,tijb->tij", diff, diff)
+    r = np.array([linear_sum_assignment(c)[1] for c in cost], dtype=np.int64)
+    trace = PermutationTrace(r=r.reshape(len(dm), dm.k))
 
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    T = len(dm)
-    choice = np.empty(T, dtype=np.int64)
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        # (chunk, n_perms, k, B): draw components reordered by every permutation
-        cand = features[lo:hi][:, perms, :]
-        dist = np.sum((cand - ref[None, None]) ** 2, axis=(2, 3))
-        choice[lo:hi] = np.argmin(dist, axis=1)
-    trace = PermutationTrace(r=perms[choice])
-
-    rows = np.arange(T)[:, None]
+    rows = np.arange(len(dm))[:, None]
     relabelled = replace(
         dm,
         weights=dm.weights[rows, trace.r],
@@ -298,11 +273,8 @@ def kmeans_summary(draws, k: int | None = None, n_restarts: int = 10, seed: int 
     """
     dm = _coerce(draws)
     k = dm.k if k is None else k
-    blocks = [dm.locs]
-    if dm.scales is not None:
-        blocks.append(dm.scales)
-    blocks.append(dm.weights)
-    points = np.stack(blocks, axis=2).reshape(-1, len(blocks))
+    points = _component_points(dm.locs, dm.scales, dm.weights)
+    points = points.reshape(-1, points.shape[-1])
     centres, labels, objective, history = kmeans(
         points, k, n_restarts=n_restarts, seed=seed
     )

@@ -496,10 +496,18 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
                 "a gaussian mixture fit requires at least two observations for the "
                 "posterior to be proper"
             )
-        if float(np.std(data.values, ddof=1)) == 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = float(np.std(data.values, ddof=1))
+        if spread == 0.0:
             raise ValueError(
                 "a gaussian mixture fit requires at least two distinct observations "
                 "for the posterior to be proper (the sample standard deviation is 0)"
+            )
+        if not math.isfinite(spread):
+            raise ValueError(
+                "the sample standard deviation of the data overflows float64; a gaussian "
+                "mixture fit requires at least two distinct observations with a finite "
+                "spread (rescale the data)"
             )
     elif family == "poisson" and not np.any(data.values > 0):
         raise ValueError(

@@ -164,7 +164,7 @@ class TestFit:
         for chain in manifest["chains"]:
             assert all(rate is None for rate in chain["acceptance_rates"].values())
 
-    @pytest.mark.parametrize("values", [[1.0, 1.0], [0.0, 1e-300]])
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [0.0, 1e-300], [1e200, -1e200, 3e199]])
     @pytest.mark.parametrize("proposal", [[], ["--proposal", "1"]])
     def test_zero_spread_data_refused_with_propriety_message(
         self, tmp_path, capsys, values, proposal

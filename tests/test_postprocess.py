@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestRelabelMap:
         np.testing.assert_allclose(relabelled.locs[0], self.MAP.locs)
         np.testing.assert_allclose(relabelled.weights[0], self.MAP.weights)
 
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_exhaustive_optimality(self, k):
         rng = np.random.default_rng(1)
         T = 150
@@ -118,13 +119,34 @@ class TestRelabelMap:
                 alt = float(np.sum((feats[list(perm)] - ref) ** 2))
                 assert chosen <= alt + 1e-12
 
-    def test_large_k_refused(self):
-        dm = make_draws(np.zeros((1, 9)))
-        big_map = StandardParams(
-            "gaussian", np.full(9, 1 / 9), np.arange(9.0), np.ones(9)
-        )
-        with pytest.raises(ValueError, match="k <= 8"):
-            relabel_map(dm, big_map)
+    def test_large_k_recovers_known_permutations(self):
+        rng = np.random.default_rng(7)
+        for k, T in ((9, 500), (10, 10_000)):
+            reference = StandardParams(
+                "gaussian",
+                rng.dirichlet(np.ones(k)),
+                10.0 * np.arange(k),
+                np.linspace(0.5, 3.0, k),
+            )
+            # draw t stores reference component order[t, j] in slot j, so the
+            # relabelling must pick the inverse permutation
+            order = np.array([rng.permutation(k) for _ in range(T)])
+            dm = make_draws(
+                np.asarray(reference.locs)[order],
+                np.asarray(reference.scales)[order],
+                np.asarray(reference.weights)[order],
+            )
+            tracemalloc.start()
+            try:
+                relabelled, trace = relabel_map(dm, reference)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(trace.r, np.argsort(order, axis=1))
+            for name in ("locs", "scales", "weights"):
+                expected = np.tile(getattr(reference, name), (T, 1))
+                np.testing.assert_array_equal(getattr(relabelled, name), expected)
+            assert peak < 64e6
 
 
 class TestDetectSwitching:
