@@ -2,9 +2,11 @@
 
 Component densities are evaluated in log space throughout; the mixture
 aggregation is a max-shifted log-sum-exp, so well-separated components do
-not underflow the naive density sum.  Per-observation component terms are
-sorted before aggregation, which makes the value bit-for-bit invariant
-under permutations of the component labels.
+not underflow the naive density sum.  Each family builds one contiguous row
+of log-terms per component; a compare-exchange network puts every
+observation's terms in canonical (ascending) order before aggregation, which
+makes the value bit-for-bit invariant under permutations of the component
+labels.
 """
 
 from __future__ import annotations
@@ -83,20 +85,68 @@ class Dataset:
         return uniq, counts.astype(float), gammaln(uniq + 1.0)
 
 
-def _mixture_loglik(log_terms: np.ndarray, counts: np.ndarray | None = None) -> float:
-    """Aggregate per-observation component log-terms of shape (n, k).
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``terms`` (m, n), modifying it in place.
 
-    Sorting the component terms fixes the summation order, so the result is
-    bit-for-bit invariant under relabelling; the max-shift is then the last
-    column.
+    The additions follow numpy's pairwise summation along a contiguous axis:
+    in order below 8 terms, otherwise 8 interleaved partial sums joined as a
+    tree, with runs over 128 split in halves at a multiple of 8.  The result
+    therefore equals ``np.sum(terms.T.copy(), axis=1)`` bit for bit (up to
+    the sign of a zero sum, as numpy starts from +0.0), without the
+    transposed copy or the per-observation reduction loop.
     """
-    ordered = np.sort(log_terms, axis=1)
-    shift = ordered[:, -1]
-    if not np.all(np.isfinite(shift)):
+    m = len(terms)
+    if m < 8:
+        acc = terms[0]
+        for row in terms[1:]:
+            acc += row
+        return acc
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _sum_terms(terms[:half]) + _sum_terms(terms[half:])
+    full = m - m % 8
+    r = terms[:8]
+    for i in range(8, full, 8):
+        r += terms[i : i + 8]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in terms[full:]:
+        acc += row
+    return acc
+
+
+def _sort_rows(rows: np.ndarray) -> None:
+    """Sort every column of ``rows`` (k, n) ascending, in place.
+
+    k rounds of odd-even transposition, each one elementwise compare-exchange
+    of all adjacent row pairs of one parity, give the values ``np.sort(rows,
+    axis=0)`` gives.  A NaN spreads to every later row instead of moving to
+    the last, so the last row is NaN exactly where a sort puts a NaN there.
+    """
+    k = len(rows)
+    for step in range(k):
+        first = step % 2
+        if first + 1 < k:
+            lo, hi = rows[first : k - 1 : 2], rows[first + 1 : k : 2]
+            low = np.minimum(lo, hi)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
+
+
+def _mixture_loglik(log_terms: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Aggregate component log-term rows of shape (k, n), k >= 2, in place.
+
+    Putting every observation's terms in canonical (ascending) order fixes
+    the summation order, so the result is bit-for-bit invariant under
+    relabelling; the max-shift is then the last row.
+    """
+    _sort_rows(log_terms)
+    shift = log_terms[-1]
+    if not np.isfinite(shift).all():
         return -math.inf
-    per_obs = shift + np.log1p(np.sum(np.exp(ordered[:, :-1] - shift[:, None]), axis=1))
+    rest = np.subtract(log_terms[:-1], shift, out=log_terms[:-1])
+    per_obs = shift + np.log1p(_sum_terms(np.exp(rest, out=rest)))
     if counts is None:
-        return float(np.sum(per_obs))
+        return float(per_obs.sum())
     return float(counts @ per_obs)
 
 
@@ -108,8 +158,8 @@ def loglik_gaussian_arrays(
         return -math.inf
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
-    z = (x[:, None] - locs[None, :]) / scales[None, :]
-    log_terms = log_w[None, :] - np.log(scales)[None, :] - 0.5 * _LOG_2PI - 0.5 * z * z
+    z = (x[None, :] - locs[:, None]) / scales[:, None]
+    log_terms = (log_w - np.log(scales) - 0.5 * _LOG_2PI)[:, None] - 0.5 * z * z
     return _mixture_loglik(log_terms)
 
 
@@ -129,10 +179,10 @@ def loglik_poisson_arrays(
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     log_terms = (
-        log_w[None, :]
-        + uniq[:, None] * np.log(rates)[None, :]
-        - rates[None, :]
-        - lgam[:, None]
+        log_w[:, None]
+        + uniq[None, :] * np.log(rates)[:, None]
+        - rates[:, None]
+        - lgam[None, :]
     )
     return _mixture_loglik(log_terms, counts)
 
@@ -151,7 +201,7 @@ def loglik_exponential_arrays(
     uniq, counts, _ = data._count_summary
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
-    log_terms = log_w[None, :] - np.log(means)[None, :] - uniq[:, None] / means[None, :]
+    log_terms = (log_w - np.log(means))[:, None] - uniq[None, :] / means[:, None]
     return _mixture_loglik(log_terms, counts)
 
 
@@ -169,7 +219,7 @@ def _rate_logpost(
     gamma: np.ndarray,
     weights: np.ndarray,
 ) -> float:
-    if lam <= 0 or np.any(gamma < MIN_WEIGHT) or np.any(weights < MIN_WEIGHT):
+    if not (lam > 0 and np.all(gamma >= MIN_WEIGHT) and np.all(weights >= MIN_WEIGHT)):
         return -math.inf
     lp = log_prior(spec, RateState(family=family, lam=lam, gamma=gamma, weights=weights))
     if lp == -math.inf:
@@ -194,7 +244,7 @@ def _gaussian_logpost(
     # the prior densities below return -inf outside their own supports; only
     # the log of sigma and the simplex sum are left to check here
     k = len(weights)
-    if sigma <= 0 or abs(float(np.sum(weights)) - 1.0) > 1e-9:
+    if not (sigma > 0 and abs(float(np.sum(weights)) - 1.0) <= 1e-9):
         return -math.inf
     lp = -math.log(sigma)
     lp += _log_dirichlet(weights, spec.alpha0)

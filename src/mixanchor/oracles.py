@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm
+from scipy.special import gammaln, ndtr
 
 from .priors import PriorSpec
 
@@ -96,7 +95,7 @@ def gaussian_pair_closed(
     dx = x1 - x2
     s = math.hypot(ti, tj)
     arg = (ai - aj) / dx * abs(dx) / s
-    return pi * pj / abs(dx) * float(norm.cdf(arg))
+    return pi * pj / abs(dx) * float(ndtr(arg))
 
 
 def _z_window(ai, aj, ti, tj, x1, x2):

@@ -47,7 +47,7 @@ def _frozen_vector(x, name: str) -> np.ndarray:
 
 def check_simplex(weights: np.ndarray, name: str = "weights", tol: float = ALGEBRA_TOL) -> None:
     """Raise unless ``weights`` is nonnegative and sums to one within ``tol``."""
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):
         raise ValueError(f"{name} must be nonnegative")
     total = float(np.sum(weights))
     if abs(total - 1.0) > tol:
@@ -277,7 +277,7 @@ class PoissonReparam:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "gamma", _frozen_vector(self.gamma, "gamma"))
         object.__setattr__(self, "weights", _frozen_vector(self.weights, "weights"))
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be strictly positive")
         if len(self.gamma) != len(self.weights):
             raise ValueError("gamma and weights must have equal length")
@@ -308,7 +308,7 @@ class GaussianState:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen_vector(self.weights, "weights"))
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be strictly positive")
         check_simplex(self.weights, tol=1e-9)
         if len(self.weights) != self.coords.k:

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, betaln
+from scipy.special import betaln, gammaln, ndtr
 
 from .params import (
     AngularCoords,
@@ -237,14 +236,14 @@ def log_prior(spec: PriorSpec, state: GaussianState | RateState) -> float:
     return ``-inf``.
     """
     if isinstance(state, RateState):
-        if state.lam <= 0:
+        if not state.lam > 0:
             return -math.inf
         lp = -math.log(state.lam)
         lp += _log_dirichlet(state.gamma, spec.gamma_dirichlet_alpha)
         lp += _log_dirichlet(state.weights, spec.alpha0)
         return lp
 
-    if state.sigma <= 0:
+    if not state.sigma > 0:
         return -math.inf
     coords = state.coords
     k = state.k
@@ -305,7 +304,7 @@ def mixture_normal_quantiles(
         while np.max(hi - lo) > tol:
             mid = 0.5 * (lo + hi)
             z = (mid[:, None] - locs) / safe_scales
-            cdf = np.sum(weights * stats.norm.cdf(z), axis=1)
+            cdf = np.sum(weights * ndtr(z), axis=1)
             below = cdf < q
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)

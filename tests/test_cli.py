@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +228,14 @@ class TestOracleCheck:
             "rate_marginal_identity",
             "single_observation_divergence",
         }
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.6 s and 25 MB at every CLI start
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import mixanchor.cli, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,13 @@
 """Log-likelihood and log-posterior tests against naive-density oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from mixanchor import (
@@ -16,12 +20,21 @@ from mixanchor import (
 )
 from mixanchor.likelihood import (
     Dataset,
+    _gaussian_logpost,
+    _mixture_loglik,
+    _rate_logpost,
+    _sort_rows,
+    _sum_terms,
     log_posterior,
     loglik_exponential,
+    loglik_exponential_arrays,
     loglik_gaussian,
+    loglik_gaussian_arrays,
     loglik_poisson,
+    loglik_poisson_arrays,
 )
-from mixanchor.priors import PriorSpec, sample_prior
+from mixanchor.params import check_simplex
+from mixanchor.priors import PriorSpec, log_prior, sample_prior
 
 
 def naive_gaussian_loglik(x, params):
@@ -215,3 +228,183 @@ class TestLogPosterior:
 
         expected = log_prior(self.SPEC, state) + loglik_gaussian(data, params)
         assert value == pytest.approx(expected, abs=1e-9)
+
+
+def sorted_reference_loglik(log_terms, counts=None):
+    """Sort-based aggregation over an (n, k) array, the reference for the network."""
+    ordered = np.sort(log_terms, axis=1)
+    shift = ordered[:, -1]
+    if not np.all(np.isfinite(shift)):
+        return -math.inf
+    per_obs = shift + np.log1p(np.sum(np.exp(ordered[:, :-1] - shift[:, None]), axis=1))
+    if counts is None:
+        return float(np.sum(per_obs))
+    return float(counts @ per_obs)
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+        math.isnan(a) and math.isnan(b)
+    )
+
+
+def aggregate_both(terms, counts):
+    """Reference on the (n, k) array and the network on its (k, n) rows."""
+    with np.errstate(all="ignore"):
+        ref = sorted_reference_loglik(terms, counts)
+        ours = _mixture_loglik(np.ascontiguousarray(terms.T), counts)
+    return ref, ours
+
+
+@st.composite
+def term_matrices(draw):
+    """(n, k) log-term arrays with ties, zero weights, NaNs and extreme scales."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([-300, -5, 0, 2, 300]))
+    terms = rng.normal(0.0, 1.0, (n, k)) * scale
+    if draw(st.booleans()):  # tied components
+        terms[:, rng.integers(k)] = terms[:, rng.integers(k)]
+    if draw(st.booleans()):  # tied values inside rows
+        terms = np.round(terms / scale) * scale
+    if draw(st.booleans()):  # zero weights
+        terms[:, rng.integers(k)] = -math.inf
+    special = draw(st.sampled_from([None, -math.inf, math.nan, math.inf]))
+    if special is not None:
+        terms[rng.random((n, k)) < 0.01] = special
+    counts = rng.integers(1, 6, n).astype(float) if draw(st.booleans()) else None
+    return terms, counts
+
+
+class TestAggregation:
+    @settings(max_examples=300, deadline=None)
+    @given(term_matrices())
+    def test_network_matches_sorted_reference(self, case):
+        terms, counts = case
+        ref, ours = aggregate_both(terms, counts)
+        assert same_float(ours, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda k: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.just(k)),
+                elements=st.floats(allow_nan=True, allow_infinity=True),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_arbitrary_floats_match_sorted_reference(self, terms, with_counts):
+        counts = np.arange(1.0, len(terms) + 1.0) if with_counts else None
+        ref, ours = aggregate_both(terms, counts)
+        assert same_float(ours, ref)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_network_sorts_every_permutation(self, k):
+        columns = np.array(list(itertools.permutations(range(k))), dtype=float).T
+        expected = np.sort(columns, axis=0)
+        _sort_rows(columns)
+        assert np.array_equal(columns, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_row_sum_matches_numpy_pairwise_sum(self, m, n, seed):
+        # the parent layout: observations by rows, the summed terms contiguous
+        terms = np.exp(np.random.default_rng(seed).normal(0.0, 3.0, (n, m)))
+        expected = np.sum(terms, axis=1)
+        assert np.array_equal(_sum_terms(np.ascontiguousarray(terms.T)), expected)
+
+
+@st.composite
+def permuted_mixtures(draw):
+    k = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.full(k, 2.0))
+    if draw(st.booleans()):
+        weights[rng.integers(k)] = 0.0
+        weights /= weights.sum()
+    return k, rng, weights, rng.permutation(k)
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_mixtures())
+    def test_gaussian(self, case):
+        k, rng, w, perm = case
+        locs, scales = rng.normal(0.0, 3.0, k), np.exp(rng.normal(0.0, 0.5, k))
+        x = rng.normal(0.0, 4.0, int(rng.integers(1, 300)))
+        assert loglik_gaussian_arrays(x, w, locs, scales) == loglik_gaussian_arrays(
+            x, w[perm], locs[perm], scales[perm]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_mixtures())
+    def test_poisson(self, case):
+        k, rng, w, perm = case
+        rates = np.exp(rng.normal(1.0, 1.0, k))
+        data = Dataset(rng.poisson(3.0, int(rng.integers(1, 300))).astype(float))
+        assert loglik_poisson_arrays(data, w, rates) == loglik_poisson_arrays(
+            data, w[perm], rates[perm]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_mixtures())
+    def test_exponential(self, case):
+        k, rng, w, perm = case
+        means = np.exp(rng.normal(0.0, 1.0, k))
+        data = Dataset(rng.exponential(2.0, int(rng.integers(1, 300))))
+        assert loglik_exponential_arrays(data, w, means) == loglik_exponential_arrays(
+            data, w[perm], means[perm]
+        )
+
+
+class TestNaNRejected:
+    SPEC = PriorSpec()
+
+    def _gaussian_state(self):
+        params = StandardParams("gaussian", [0.65, 0.35], [-8.0, -0.5], [2.0, 1.0])
+        g, p, coords = angular_from_standard(params)
+        return GaussianState(mu=g.mu, sigma=g.sigma, weights=p, coords=coords)
+
+    def test_gaussian_state_refuses_nan_sigma(self):
+        coords = self._gaussian_state().coords
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianState(mu=0.0, sigma=math.nan, weights=[0.8, 0.2], coords=coords)
+
+    def test_poisson_reparam_refuses_nan_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            PoissonReparam(lam=math.nan, gamma=[0.5, 0.5], weights=[0.5, 0.5])
+
+    def test_check_simplex_refuses_nan_weight(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_simplex(np.array([math.nan, 1.0]))
+
+    def test_log_prior_is_minus_inf_for_nan_globals(self):
+        # GaussianState refuses a NaN sigma, so the field is overwritten afterwards
+        gaussian = self._gaussian_state()
+        object.__setattr__(gaussian, "sigma", math.nan)
+        rate = RateState(family="poisson", lam=math.nan, gamma=[0.5, 0.5], weights=[0.5, 0.5])
+        assert log_prior(self.SPEC, gaussian) == -math.inf
+        assert log_prior(self.SPEC, rate) == -math.inf
+        assert log_posterior(Dataset([1.0, 2.0]), self.SPEC, rate) == -math.inf
+
+    def test_rate_logpost_is_minus_inf_for_nan(self):
+        data = Dataset([1.0, 2.0, 4.0])
+        half = np.array([0.5, 0.5])
+        nan_pair = np.array([math.nan, 0.5])
+        for lam, gamma, weights in [(math.nan, half, half), (1.0, nan_pair, half),
+                                    (1.0, half, nan_pair)]:
+            value = _rate_logpost(data, self.SPEC, "poisson", lam, gamma, weights)
+            assert value == -math.inf
+
+    def test_gaussian_logpost_is_minus_inf_for_nan(self):
+        state = self._gaussian_state()
+        c = state.coords
+        data = Dataset([-8.0, -1.0, 0.5])
+        for sigma, weights in [(math.nan, state.weights),
+                               (state.sigma, np.array([math.nan, 1.0]))]:
+            value = _gaussian_logpost(data, self.SPEC, state.mu, sigma, weights,
+                                      c.phi_sq, c.phi_sign, c.varpi, c.xi)
+            assert value == -math.inf
