@@ -86,12 +86,12 @@ class StandardParams:
             object.__setattr__(self, "scales", _frozen_vector(self.scales, "scales"))
             if len(self.scales) != self.k:
                 raise ValueError("scales length must match weights length")
-            if np.any(self.scales <= 0):
+            if not np.all(self.scales > 0):
                 raise ValueError("component scales must be strictly positive")
         else:
             if self.scales is not None:
                 raise ValueError(f"{self.family} mixtures carry no scales")
-            if np.any(self.locs <= 0):
+            if not np.all(self.locs > 0):
                 raise ValueError("component rates must be strictly positive")
 
     @property
@@ -112,9 +112,9 @@ class GlobalMoments:
     lam: float | None = None
 
     def __post_init__(self):
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be strictly positive")
-        if self.lam is not None and self.lam <= 0:
+        if self.lam is not None and not self.lam > 0:
             raise ValueError("lam must be strictly positive")
         if self.sigma is None and self.lam is None:
             raise ValueError("provide either (mu, sigma) or lam")
@@ -139,7 +139,7 @@ class AlphaTau:
         object.__setattr__(self, "tau", _frozen_vector(self.tau, "tau"))
         if len(self.alpha) != len(self.tau):
             raise ValueError("alpha and tau must have equal length")
-        if np.any(self.tau <= 0):
+        if not np.all(self.tau > 0):
             raise ValueError("tau entries must be strictly positive")
 
     @property

@@ -221,41 +221,92 @@ def detect_switching(trace: PermutationTrace) -> SwitchReport:
 # k-means summarisation
 
 
+def _sq_dist_rows(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Squared distances as a (k, N) array, one row per centre.
+
+    ``rows`` holds the points as contiguous (B, N) coordinate rows.  The
+    coordinate terms are added in coordinate order, so each value equals
+    ``np.sum((point - centre) ** 2)`` over the last axis bit for bit.
+    """
+    d2 = np.square(rows[0] - centres[:, :1])
+    term = np.empty_like(d2)
+    for b in range(1, rows.shape[0]):
+        np.subtract(rows[b], centres[:, b:b + 1], out=term)
+        d2 += np.square(term, out=term)
+    return d2
+
+
+def _lloyd(rows: np.ndarray, centres: np.ndarray, max_iter: int):
+    """Lloyd iterations from ``centres`` (k, B) over the (B, N) point rows.
+
+    Returns ``(centres, labels, history)``, or ``None`` once a cluster is
+    empty.  Each centre update adds its cluster's points in point order.
+    """
+    k, n = len(centres), rows.shape[1]
+    history = []
+    labels = None
+    for _ in range(max_iter):
+        d2 = _sq_dist_rows(rows, centres)
+        new_labels = np.argmin(d2, axis=0)
+        history.append(float(np.sum(d2[new_labels, np.arange(n)])))
+        counts = np.bincount(new_labels, minlength=k)
+        if np.any(counts == 0):
+            return None
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        sums = [np.bincount(labels, weights=row, minlength=k) for row in rows]
+        centres = np.stack(sums, axis=1) / counts[:, None]
+    return centres, labels, history
+
+
+def _d2_seeds(rows: np.ndarray, k: int, rng) -> np.ndarray | None:
+    """k-means++ seeding: k distinct points as (k, B) centres, or ``None``.
+
+    The first centre is uniform over the points; each further one is drawn
+    with probability proportional to the squared distance to its nearest
+    chosen centre.  ``None`` means fewer than k distinct points remain to
+    choose from (the distance total is not positive).
+    """
+    n = rows.shape[1]
+    chosen = [int(rng.integers(n))]
+    nearest = _sq_dist_rows(rows, rows[:, chosen].T)[0]
+    for _ in range(1, k):
+        cdf = np.cumsum(nearest)
+        if not cdf[-1] > 0:
+            return None
+        cdf /= cdf[-1]
+        chosen.append(int(np.searchsorted(cdf, rng.random(), side="right")))
+        np.minimum(nearest, _sq_dist_rows(rows, rows[:, chosen[-1:]].T)[0], out=nearest)
+    return rows[:, chosen].T.copy()
+
+
 def kmeans(points: np.ndarray, k: int, n_restarts: int = 10, seed: int = 0,
            max_iter: int = 300):
-    """Plain Lloyd iterations with seeded restarts.
+    """Lloyd iterations from k-means++ seeds, with restarts.
+
+    Each restart seeds its k centres by D² sampling (Arthur & Vassilvitskii
+    2007) from one ``numpy.random.default_rng(seed)`` stream: the first
+    centre is a uniformly chosen point, and each further centre is a point
+    drawn with probability proportional to its squared distance to the
+    nearest centre already chosen, so the seeds are k distinct points.
 
     Returns ``(centres, labels, objective, history)`` for the best restart,
     where ``history`` is that restart's within-cluster sum of squares after
     each iteration (never increasing).  Nearest-centre ties resolve to the
     lowest cluster index; ties between restarts resolve to the earliest.
-    Raises if every restart collapses a cluster to emptiness.
+    A restart collapses when the points hold fewer than k distinct points
+    or a cluster empties; raises if every restart collapses.
     """
-    points = np.asarray(points, dtype=float)
+    rows = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_restarts):
-        centres = points[rng.choice(len(points), size=k, replace=False)]
-        history = []
-        failed = False
-        labels = None
-        for _ in range(max_iter):
-            d2 = np.sum((points[:, None, :] - centres[None]) ** 2, axis=2)
-            new_labels = np.argmin(d2, axis=1)
-            obj = float(np.sum(d2[np.arange(len(points)), new_labels]))
-            history.append(obj)
-            counts = np.bincount(new_labels, minlength=k)
-            if np.any(counts == 0):
-                failed = True
-                break
-            if labels is not None and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-            centres = np.stack(
-                [points[labels == j].mean(axis=0) for j in range(k)]
-            )
-        if failed:
+        seeds = _d2_seeds(rows, k, rng)
+        run = None if seeds is None else _lloyd(rows, seeds, max_iter)
+        if run is None:
             continue
+        centres, labels, history = run
         if best is None or history[-1] < best[2]:
             best = (centres, labels, history[-1], history)
     if best is None:
@@ -339,28 +390,49 @@ def summarise(draws) -> Summary:
 
 
 def density_curve(draws, grid: np.ndarray) -> np.ndarray:
-    """Pointwise average of the per-draw mixture densities over ``grid``."""
+    """Pointwise average of the per-draw mixture densities over ``grid``.
+
+    Draws are taken in chunks of about 10**6 (draw, grid point) cells.  Each
+    chunk's (draws, k, grid) array is created by its first broadcast
+    operation, so numpy gives it the layout of the draw arrays, and is then
+    updated in place; the chunk sums therefore add in a fixed order for
+    C- and for F-ordered draws.  Weights and locations (and scales) are
+    expected in one layout, as every ``DrawMatrix`` built here has them;
+    mixed layouts can change the last bit of the sums.
+    """
     dm = _coerce(draws)
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted")
     total = np.zeros_like(grid)
     chunk = max(1, 10**6 // max(len(grid), 1))
+    g = grid[None, None, :]
     for lo in range(0, len(dm), chunk):
         hi = min(lo + chunk, len(dm))
         w = dm.weights[lo:hi][:, :, None]
         locs = dm.locs[lo:hi][:, :, None]
-        g = grid[None, None, :]
         if dm.family == "gaussian":
             s = dm.scales[lo:hi][:, :, None]
-            dens = np.exp(-0.5 * ((g - locs) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+            dens = g - locs
+            dens /= s
+            np.square(dens, out=dens)
+            dens *= -0.5
+            np.exp(dens, out=dens)
+            dens /= s * math.sqrt(2 * math.pi)
         elif dm.family == "exponential":
-            dens = np.exp(-g / locs) / locs
+            dens = (-g) / locs
+            np.exp(dens, out=dens)
+            dens /= locs
         else:  # poisson: grid holds nonnegative integers
             from scipy.special import gammaln
 
-            dens = np.exp(g * np.log(locs) - locs - gammaln(g + 1.0))
-        total += np.sum(w * dens, axis=(0, 1))
+            dens = g * np.log(locs)
+            dens -= locs
+            dens -= gammaln(g + 1.0)
+            np.exp(dens, out=dens)
+        dens *= w
+        total += np.sum(dens, axis=(0, 1))
+        del dens
     return total / len(dm)
 
 

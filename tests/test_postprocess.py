@@ -6,11 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixanchor import StandardParams
 from mixanchor.postprocess import (
     DrawMatrix,
     PermutationTrace,
+    _d2_seeds,
+    _lloyd,
     density_curve,
     detect_switching,
     find_map,
@@ -290,3 +294,260 @@ def test_relabelling_breaks_weight_exchangeability(example3_run):
     for loc, weight in zip(loc_means, weight_means):
         target = truth[min(truth, key=lambda t: abs(t - loc))]
         assert abs(weight - target) < 0.05
+
+
+# --------------------------------------------------------------------------
+# k-means: the row-wise Lloyd step against the original (N, k, B) loop
+
+
+def reference_lloyd(points, centres, max_iter=300):
+    """The original Lloyd loop over (N, B) points: (N, k, B) differences,
+    per-cluster ``mean``.  Returns ``(centres, labels, history)`` or ``None``
+    when a cluster empties."""
+    history = []
+    labels = None
+    for _ in range(max_iter):
+        d2 = np.sum((points[:, None, :] - centres[None]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        history.append(float(np.sum(d2[np.arange(len(points)), new_labels])))
+        counts = np.bincount(new_labels, minlength=len(centres))
+        if np.any(counts == 0):
+            return None
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centres = np.stack(
+            [points[labels == j].mean(axis=0) for j in range(len(centres))]
+        )
+    return centres, labels, history
+
+
+def assert_same_run(expected, got):
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    # equal as floats: a cluster whose coordinate is -0.0 at every point has
+    # a mean of -0.0 and a bincount sum of +0.0, which compare equal
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+    assert got[2] == expected[2]
+
+
+@st.composite
+def lloyd_inputs(draw):
+    """Points (N, B), initial centres (k, B) picked among them, and max_iter.
+
+    ``ties`` snaps the points to a coarse grid, so many coincide; initial
+    centres are drawn with replacement, so two of them may coincide and
+    collapse a cluster at once.
+    """
+    b = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(k, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_clusters = draw(st.integers(1, 10))
+    spread = draw(st.sampled_from([1e-8, 0.1, 1.0, 10.0]))
+    middles = rng.normal(0.0, 5.0, size=(n_clusters, b))
+    points = middles[rng.integers(n_clusters, size=n)] + spread * rng.normal(size=(n, b))
+    if draw(st.booleans()):  # ties
+        points = np.round(points)
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e150]))
+    points = points * scale
+    idx = rng.integers(n, size=k) if draw(st.booleans()) else rng.choice(n, k, replace=False)
+    return points, points[idx], draw(st.sampled_from([1, 2, 300]))
+
+
+@st.composite
+def small_float_inputs(draw):
+    """Few points of arbitrary finite floats, zeros of both signs included."""
+    b = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    value = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+    flat = draw(st.lists(value, min_size=n * b, max_size=n * b))
+    points = np.array(flat, dtype=float).reshape(n, b)
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    return points, points[idx], 300
+
+
+class TestLloydParity:
+    @settings(max_examples=150, deadline=None)
+    @given(lloyd_inputs())
+    def test_rowwise_step_matches_reference(self, inputs):
+        points, centres, max_iter = inputs
+        rows = np.ascontiguousarray(points.T)
+        assert_same_run(
+            reference_lloyd(points, centres, max_iter), _lloyd(rows, centres, max_iter)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_float_inputs())
+    def test_arbitrary_floats_match_reference(self, inputs):
+        points, centres, max_iter = inputs
+        rows = np.ascontiguousarray(points.T)
+        assert_same_run(
+            reference_lloyd(points, centres, max_iter), _lloyd(rows, centres, max_iter)
+        )
+
+    def test_history_is_bitwise_identical_on_separated_clusters(self):
+        rng = np.random.default_rng(12)
+        middles = np.array([[-24.0, 1.0, 0.12], [-11.0, 1.5, 0.18], [0.0, 0.8, 0.22],
+                            [12.0, 2.0, 0.28], [26.0, 1.2, 0.2]])
+        points = np.repeat(middles, 400, axis=0) + 0.25 * rng.normal(size=(2000, 3))
+        centres = points[[0, 1, 2, 3, 1999]]  # two starts in one cluster
+        expected = reference_lloyd(points, centres)
+        got = _lloyd(np.ascontiguousarray(points.T), centres, 300)
+        assert [h.hex() for h in got[2]] == [h.hex() for h in expected[2]]
+        assert got[0].tobytes() == expected[0].tobytes()
+
+
+class TestD2Seeding:
+    def test_seeds_are_distinct_points(self):
+        rng = np.random.default_rng(13)
+        # heavy ties: 6 distinct points, each repeated many times
+        distinct = rng.normal(size=(6, 3))
+        points = distinct[rng.integers(6, size=600)]
+        rows = np.ascontiguousarray(points.T)
+        for k in range(2, 7):
+            seeds = _d2_seeds(rows, k, np.random.default_rng(k))
+            assert seeds.shape == (k, 3)
+            assert len(np.unique(seeds, axis=0)) == k
+            for centre in seeds:
+                assert np.any(np.all(points == centre, axis=1))
+
+    def test_fewer_distinct_points_than_k_collapses(self):
+        points = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], 20, axis=0)
+        rows = np.ascontiguousarray(points.T)
+        assert _d2_seeds(rows, 4, np.random.default_rng(0)) is None
+        with pytest.raises(ValueError, match="every restart produced an empty cluster"):
+            kmeans(points, 4, seed=1)
+
+    def test_exactly_k_distinct_points_always_fit(self):
+        # every seeding picks the k distinct values, so no restart collapses
+        points = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [1, 50, 7], axis=0)
+        centres, labels, objective, history = kmeans(points, 3, n_restarts=20, seed=2)
+        assert objective == 0.0
+        assert sorted(np.bincount(labels)) == [1, 7, 50]
+
+    def test_same_seed_same_result(self):
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(700, 3))
+        first = kmeans(points, 5, seed=21)
+        second = kmeans(points, 5, seed=21)
+        assert first[0].tobytes() == second[0].tobytes()
+        np.testing.assert_array_equal(first[1], second[1])
+        assert first[3] == second[3]
+
+    def test_restart_ties_go_to_the_earliest(self):
+        # two equally good optima; the best run must be the first restart
+        # that reaches the smallest objective
+        points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        best = kmeans(points, 2, n_restarts=10, seed=3)
+        rows = np.ascontiguousarray(points.T)
+        rng = np.random.default_rng(3)
+        runs = [_lloyd(rows, _d2_seeds(rows, 2, rng), 300) for _ in range(10)]
+        first = min(range(10), key=lambda i: (runs[i][2][-1], i))
+        np.testing.assert_array_equal(best[0], runs[first][0])
+        assert best[3] == runs[first][2]
+
+
+K5_TRUTH = {
+    "weights": np.array([0.12, 0.18, 0.22, 0.28, 0.20]),
+    "locs": np.array([-24.0, -11.0, 0.0, 12.0, 26.0]),
+    "scales": np.array([1.0, 1.5, 0.8, 2.0, 1.2]),
+}
+
+
+def k5_pooled_draws(seed, chains=4, draws=2500):
+    """Four chains of 2500 draws around ``K5_TRUTH`` with block-wise label
+    swaps, pooled: normal location noise (sd 0.25), log-normal scale noise
+    (sd 0.05), Dirichlet(400 p) weights, and one random component order per
+    block of 100-600 draws."""
+    rng = np.random.default_rng(seed)
+    k = 5
+    parts = []
+    for _ in range(chains):
+        locs = K5_TRUTH["locs"] + 0.25 * rng.standard_normal((draws, k))
+        scales = K5_TRUTH["scales"] * np.exp(0.05 * rng.standard_normal((draws, k)))
+        weights = rng.dirichlet(400.0 * K5_TRUTH["weights"], size=draws)
+        order = np.empty((draws, k), dtype=np.int64)
+        start = 0
+        while start < draws:
+            stop = min(draws, start + int(rng.integers(100, 600, endpoint=True)))
+            order[start:stop] = rng.permutation(k)
+            start = stop
+        rows = np.arange(draws)[:, None]
+        parts.append((weights[rows, order], locs[rows, order], scales[rows, order]))
+    weights, locs, scales = (np.concatenate(block) for block in zip(*parts))
+    return make_draws(locs, scales, weights)
+
+
+@pytest.mark.parametrize("seed", [[1, 2], [1, 3], [4, 2], [6, 3]])
+def test_kmeans_summary_recovers_separated_k5_truth(seed):
+    # uniformly seeded restarts put two centres into one cluster on these sets
+    table = kmeans_summary(k5_pooled_draws(seed))
+    np.testing.assert_allclose(table["medians"][:, 0], K5_TRUTH["locs"], atol=0.05)
+    np.testing.assert_allclose(table["medians"][:, 1], K5_TRUTH["scales"], atol=0.05)
+    np.testing.assert_allclose(table["medians"][:, 2], K5_TRUTH["weights"], atol=0.05)
+
+
+# --------------------------------------------------------------------------
+# density_curve against the original chunk formula
+
+
+def reference_density(dm, grid):
+    total = np.zeros_like(grid)
+    chunk = max(1, 10**6 // max(len(grid), 1))
+    for lo in range(0, len(dm), chunk):
+        hi = min(lo + chunk, len(dm))
+        w = dm.weights[lo:hi][:, :, None]
+        locs = dm.locs[lo:hi][:, :, None]
+        g = grid[None, None, :]
+        if dm.family == "gaussian":
+            s = dm.scales[lo:hi][:, :, None]
+            dens = np.exp(-0.5 * ((g - locs) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+        elif dm.family == "exponential":
+            dens = np.exp(-g / locs) / locs
+        else:
+            from scipy.special import gammaln
+
+            dens = np.exp(g * np.log(locs) - locs - gammaln(g + 1.0))
+        total += np.sum(w * dens, axis=(0, 1))
+    return total / len(dm)
+
+
+class TestDensityParity:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "poisson"])
+    def test_matches_reference_bitwise(self, family, layout):
+        rng = np.random.default_rng(15)
+        T, k = 4500, 3  # three chunks at 512 grid points
+        weights = rng.dirichlet(np.ones(k), T)
+        if family == "gaussian":
+            locs = rng.normal(0.0, 3.0, (T, k))
+            scales = np.exp(rng.normal(0.0, 0.3, (T, k)))
+            grid = np.linspace(-12.0, 12.0, 512)
+        else:
+            locs = np.exp(rng.normal(1.0, 0.5, (T, k)))
+            scales = None
+            grid = np.arange(512.0) if family == "poisson" else np.linspace(0.0, 30.0, 512)
+        order = np.ascontiguousarray if layout == "C" else np.asfortranarray
+        dm = make_draws(order(locs), None if scales is None else order(scales),
+                        order(weights), family=family)
+        assert dm.locs.flags[f"{layout}_CONTIGUOUS"]
+        assert density_curve(dm, grid).tobytes() == reference_density(dm, grid).tobytes()
+
+    def test_peak_memory_bounded(self):
+        rng = np.random.default_rng(16)
+        T, k = 10_000, 5
+        dm = make_draws(rng.normal(size=(T, k)), np.exp(rng.normal(0.0, 0.2, (T, k))),
+                        rng.dirichlet(np.ones(k), T))
+        grid = np.linspace(-6.0, 6.0, 512)
+        tracemalloc.start()
+        try:
+            density_curve(dm, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6

@@ -347,3 +347,25 @@ def _random_varpi(rng, k):
     varpi = rng.uniform(0, math.pi, size=k - 2)
     varpi[-1] = rng.uniform(0, 2 * math.pi)
     return varpi
+
+
+class TestParamsRefuseNaN:
+    def test_standard_params_refuses_nan_scale(self):
+        with pytest.raises(ValueError, match="scales"):
+            StandardParams("gaussian", [0.5, 0.5], [0.0, 1.0], [math.nan, 1.0])
+
+    def test_standard_params_refuses_nan_rate(self):
+        with pytest.raises(ValueError, match="rates"):
+            StandardParams("poisson", [0.5, 0.5], [math.nan, 1.0])
+
+    def test_global_moments_refuses_nan_sigma(self):
+        with pytest.raises(ValueError, match="sigma"):
+            GlobalMoments(mu=0.0, sigma=math.nan)
+
+    def test_global_moments_refuses_nan_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            GlobalMoments(lam=math.nan)
+
+    def test_alpha_tau_refuses_nan_tau(self):
+        with pytest.raises(ValueError, match="tau"):
+            AlphaTau(alpha=[0.5, -0.5], tau=[math.nan, 0.5])
