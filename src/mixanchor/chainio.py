@@ -1,8 +1,10 @@
-"""Chain CSV serialisation with a fixed, versioned column order.
+"""CSV tables: the chain format, and the one writer every CLI table goes through.
 
-Columns are headered, UTF-8, '.'-decimal, one draw per row.  Floats are
-written with repr-level precision so that a chain round-trips through CSV
-bit-for-bit and identical runs produce byte-identical files.
+Tables are headered, UTF-8, '.'-decimal, one row per draw or grid point.
+Floats are written with repr-level precision so that a table round-trips
+through CSV bit-for-bit and identical runs produce byte-identical files.
+A chain's columns are ``iteration``, then ``Chain.columns()`` (the order of
+``sampler.CHAIN_FIELDS``), then one ``acc_<block>`` flag per sampler block.
 """
 
 from __future__ import annotations
@@ -11,65 +13,31 @@ import csv
 
 import numpy as np
 
-from .sampler import Chain
+from .sampler import CHAIN_FIELDS, Chain
 
-__all__ = ["CHAIN_FORMAT_VERSION", "chain_to_csv", "chain_from_csv"]
+__all__ = ["CHAIN_FORMAT_VERSION", "write_table", "chain_to_csv", "chain_from_csv"]
 
 CHAIN_FORMAT_VERSION = 1
 
 
-def _chain_columns(chain: Chain) -> list:
-    k = chain.k
-    cols = [("iteration", chain.iterations), ("log_posterior", chain.log_posterior)]
-    if chain.family == "gaussian":
-        cols += [("mu", chain.mu), ("sigma", chain.sigma)]
-    else:
-        cols += [("lam", chain.lam)]
-    cols += [(f"p{i + 1}", chain.weights[:, i]) for i in range(k)]
-    cols += [(f"loc{i + 1}", chain.locs[:, i]) for i in range(k)]
-    if chain.scales is not None:
-        cols += [(f"scale{i + 1}", chain.scales[:, i]) for i in range(k)]
-    if chain.gamma is not None:
-        cols += [(f"gamma{i + 1}", chain.gamma[:, i]) for i in range(k)]
-    if chain.family == "gaussian":
-        cols += [("phi_sq", chain.phi_sq), ("phi_sign", chain.phi_sign)]
-        cols += [(f"xi{i + 1}", chain.xi[:, i]) for i in range(k - 1)]
-        cols += [(f"varpi{i + 1}", chain.varpi[:, i]) for i in range(k - 2)]
-    cols += [(f"acc_{name}", flags) for name, flags in chain.accepts.items()]
-    return cols
-
-
-def _format(value) -> str:
-    return repr(float(value))
+def write_table(path, columns, integers=()) -> None:
+    """Write ``(name, 1-d values)`` pairs as CSV columns; those named in ``integers`` as ints."""
+    cells = [
+        map(str, np.asarray(values, dtype=np.int64).tolist())
+        if name in integers
+        else map(repr, np.asarray(values, dtype=float).tolist())
+        for name, values in columns
+    ]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([name for name, _ in columns])
+        writer.writerows(zip(*cells))
 
 
 def chain_to_csv(chain: Chain, path) -> None:
-    cols = _chain_columns(chain)
-    names = [name for name, _ in cols]
-    arrays = [np.asarray(arr) for _, arr in cols]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for t in range(len(chain)):
-            writer.writerow(
-                [
-                    str(int(col[t]))
-                    if name in ("iteration", "phi_sign") or name.startswith("acc_")
-                    else _format(col[t])
-                    for (name, _), col in zip(cols, arrays)
-                ]
-            )
-
-
-def _gather(prefix: str, header: list, rows: np.ndarray) -> np.ndarray | None:
-    idx = []
-    i = 1
-    while f"{prefix}{i}" in header:
-        idx.append(header.index(f"{prefix}{i}"))
-        i += 1
-    if not idx:
-        return None
-    return rows[:, idx]
+    accepts = [(f"acc_{name}", flags) for name, flags in chain.accepts.items()]
+    columns = [("iteration", chain.iterations), *chain.columns(), *accepts]
+    write_table(path, columns, integers={"iteration", "phi_sign", *dict(accepts)})
 
 
 def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
@@ -79,46 +47,33 @@ def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     (``poisson`` and ``exponential`` share the schema); pass ``family``
     explicitly or read it from the run manifest.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = np.array([[float(x) for x in row] for row in reader])
-    if rows.size == 0:
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        lines = [line for line in handle if not line.isspace()]
+    if not lines:
         raise ValueError(f"no draws in {path}")
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    where = {name: i for i, name in enumerate(header)}
 
-    def scalar(name):
-        return rows[:, header.index(name)] if name in header else None
+    def field(name, prefix):
+        if prefix is None:
+            return np.ascontiguousarray(rows[:, where[name]]) if name in where else None
+        idx = []
+        while f"{prefix}{len(idx) + 1}" in where:
+            idx.append(where[f"{prefix}{len(idx) + 1}"])
+        return np.ascontiguousarray(rows[:, idx]) if idx else None
 
-    weights = _gather("p", header, rows)
-    locs = _gather("loc", header, rows)
-    if weights is None or locs is None:
+    fields = {name: field(name, prefix) for name, prefix in CHAIN_FIELDS}
+    if fields["weights"] is None or fields["locs"] is None:
         raise ValueError("chain CSV must carry weight and location columns")
-    is_gaussian = "mu" in header
+    is_gaussian = fields["mu"] is not None
     if family is None:
         family = "gaussian" if is_gaussian else "poisson"
+    if is_gaussian and fields["varpi"] is None:
+        fields["varpi"] = np.zeros((len(rows), 0))
     accepts = {
         name[len("acc_"):]: rows[:, i].astype(np.uint8)
         for i, name in enumerate(header)
         if name.startswith("acc_")
     }
-    sign = scalar("phi_sign")
-    return Chain(
-        family=family,
-        k=weights.shape[1],
-        burn_in=burn_in,
-        log_posterior=scalar("log_posterior"),
-        weights=weights,
-        locs=locs,
-        scales=_gather("scale", header, rows),
-        accepts=accepts,
-        mu=scalar("mu"),
-        sigma=scalar("sigma"),
-        phi_sq=scalar("phi_sq"),
-        phi_sign=None if sign is None else sign,
-        xi=_gather("xi", header, rows),
-        varpi=_gather("varpi", header, rows)
-        if any(h.startswith("varpi") for h in header)
-        else (np.zeros((len(rows), 0)) if is_gaussian else None),
-        lam=scalar("lam"),
-        gamma=_gather("gamma", header, rows),
-    )
+    return Chain(family, fields["weights"].shape[1], burn_in, accepts=accepts, **fields)

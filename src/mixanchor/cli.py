@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chainio import CHAIN_FORMAT_VERSION, chain_from_csv, chain_to_csv
+from .chainio import CHAIN_FORMAT_VERSION, chain_from_csv, chain_to_csv, write_table
 from .likelihood import Dataset
 from .oracles import gaussian_pair_closed, gaussian_pair_quad, marginal_one_obs_mc, n1_divergence_probe
 from .postprocess import (
@@ -56,7 +56,8 @@ def _prior_from_config(cfg: dict) -> PriorSpec:
     )
 
 
-def _run_config(cfg: dict, args) -> RunConfig:
+def _run_settings(cfg: dict, args) -> dict:
+    """The config's run section with the command-line flags laid over it."""
     run = dict(cfg.get("run", {}))
     if args.iters is not None:
         run["iterations"] = args.iters
@@ -76,7 +77,7 @@ def _run_config(cfg: dict, args) -> RunConfig:
         raise ValueError("the run configuration must set 'iterations'")
     if "adapt_horizon" in run and run["adapt_horizon"] is None:
         del run["adapt_horizon"]
-    return RunConfig(**run)
+    return run
 
 
 def _read_data_csv(path) -> Dataset:
@@ -92,14 +93,6 @@ def _read_data_csv(path) -> Dataset:
     if not values:
         raise ValueError(f"no observations found in {path}")
     return Dataset(np.array(values))
-
-
-def _write_value_csv(path, values) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["value"])
-        for v in values:
-            writer.writerow([repr(float(v))])
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def cmd_simulate(args) -> int:
         values = rng.poisson(locs[comp]).astype(float)
     else:
         values = rng.exponential(locs[comp])
-    _write_value_csv(args.out, values)
+    write_table(args.out, [("value", values)])
     return EXIT_OK
 
 
@@ -136,9 +129,11 @@ def cmd_simulate(args) -> int:
 # fit
 
 
-def _select_sampler(family: str, k: int, config: RunConfig, args):
+def _select_sampler(family: str, k: int, config: RunConfig, proposal_set: bool):
+    """Name and runner of the kernel; a k=2 Gaussian fit that sets a proposal
+    variant, by flag or config, runs the specialised two-component kernel."""
     if family == "gaussian":
-        if k == 2 and getattr(args, "proposal", None) is not None:
+        if k == 2 and proposal_set:
             return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config)
         return "gaussian", lambda data, spec: mwg_gaussian(data, k, spec, config)
     if family == "poisson":
@@ -185,14 +180,6 @@ def _density_grid(pooled) -> np.ndarray:
     return np.linspace(lo, hi, 512)
 
 
-def _write_density_csv(path, grid, curve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "density"])
-        for x, d in zip(grid, curve):
-            writer.writerow([repr(float(x)), repr(float(d))])
-
-
 def _write_summary(pooled, out_dir: Path) -> tuple[Path, Path]:
     """Write ``summary.json`` (strict JSON) and ``density.csv``; return both paths."""
     summary_path = out_dir / "summary.json"
@@ -200,7 +187,7 @@ def _write_summary(pooled, out_dir: Path) -> tuple[Path, Path]:
     summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
     density_path = out_dir / "density.csv"
     grid = _density_grid(pooled)
-    _write_density_csv(density_path, grid, density_curve(pooled, grid))
+    write_table(density_path, [("x", grid), ("density", density_curve(pooled, grid))])
     return summary_path, density_path
 
 
@@ -214,11 +201,12 @@ def cmd_fit(args) -> int:
         raise ValueError("fit needs a component count k >= 2")
     k = int(k)
     prior = _prior_from_config(cfg)
-    config = _run_config(cfg, args)
+    run = _run_settings(cfg, args)
+    config = RunConfig(**run)
     data = _read_data_csv(args.data)
     data.check_family(family)
 
-    sampler_name, runner = _select_sampler(family, k, config, args)
+    sampler_name, runner = _select_sampler(family, k, config, "proposal" in run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -285,32 +273,19 @@ def cmd_prior_sample(args) -> int:
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if family == "gaussian":
-            header = [f"p{i + 1}" for i in range(k)] + ["phi_sq", "phi_sign"]
-            header += [f"varpi{i + 1}" for i in range(k - 2)]
-            header += [f"xi{i + 1}" for i in range(k - 1)]
-            writer.writerow(header)
-            for i in range(draws.n):
-                row = list(draws.weights[i]) + [draws.phi_sq[i], draws.phi_sign[i]]
-                row += list(draws.varpi[i]) + list(draws.xi[i])
-                writer.writerow([repr(float(v)) for v in row])
-        else:
-            header = [f"p{i + 1}" for i in range(k)] + [f"gamma{i + 1}" for i in range(k)]
-            writer.writerow(header)
-            for i in range(draws.n):
-                row = list(draws.weights[i]) + list(draws.gamma[i])
-                writer.writerow([repr(float(v)) for v in row])
+    columns = [(f"p{i + 1}", draws.weights[:, i]) for i in range(k)]
+    if family == "gaussian":
+        columns += [("phi_sq", draws.phi_sq), ("phi_sign", draws.phi_sign)]
+        columns += [(f"varpi{i + 1}", draws.varpi[:, i]) for i in range(k - 2)]
+        columns += [(f"xi{i + 1}", draws.xi[:, i]) for i in range(k - 1)]
+    else:
+        columns += [(f"gamma{i + 1}", draws.gamma[:, i]) for i in range(k)]
+    write_table(out, columns)
     if args.quantiles:
         levels = [float(q) for q in args.quantiles.split(",")]
         table = prior_quantile_study(prior, k, args.n, levels, seed)
         qpath = args.quantile_out or str(out.with_name(out.stem + "_quantiles.csv"))
-        with open(qpath, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f"q{level}" for level in levels])
-            for row in table:
-                writer.writerow([repr(float(v)) for v in row])
+        write_table(qpath, [(f"q{level}", table[:, j]) for j, level in enumerate(levels)])
     return EXIT_OK
 
 

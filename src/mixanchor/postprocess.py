@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .params import StandardParams
 from .sampler import Chain
@@ -167,6 +166,8 @@ def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, Permutat
     exactly for any k.  Ties between equally distant permutations are broken
     deterministically by the solver.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import; only relabelling needs it
+
     dm = _coerce(draws)
     points = _component_points(dm.locs, dm.scales, dm.weights)  # (T, k, B)
     ref = _component_points(

@@ -51,6 +51,7 @@ from .transforms import standard_arrays_from_angular
 __all__ = [
     "ScaleBank",
     "RunConfig",
+    "CHAIN_FIELDS",
     "Chain",
     "ChainRecord",
     "RunResult",
@@ -175,6 +176,16 @@ class ChainRecord:
     log_posterior: float
 
 
+# The chain table schema, ``(Chain field, CSV prefix | None)`` in column order:
+# a field without a prefix is one column under its own name, one with a
+# prefix is a (draws, j) array written as columns ``prefix1..prefixj``.
+CHAIN_FIELDS = (
+    ("log_posterior", None), ("mu", None), ("sigma", None), ("lam", None),
+    ("weights", "p"), ("locs", "loc"), ("scales", "scale"), ("gamma", "gamma"),
+    ("phi_sq", None), ("phi_sign", None), ("xi", "xi"), ("varpi", "varpi"),
+)
+
+
 @dataclass
 class Chain:
     """Column-oriented storage of one chain, burn-in included."""
@@ -203,34 +214,21 @@ class Chain:
     def iterations(self) -> np.ndarray:
         return np.arange(len(self))
 
+    def columns(self):
+        """Yield ``(CSV name, 1-d column)`` in ``CHAIN_FIELDS`` order; absent fields are skipped."""
+        for field, prefix in CHAIN_FIELDS:
+            values = getattr(self, field)
+            if values is None:
+                continue
+            if prefix is None:
+                yield field, values
+            else:
+                for i in range(values.shape[1]):
+                    yield f"{prefix}{i + 1}", values[:, i]
+
     def column(self, name: str) -> np.ndarray:
-        """Column by CSV-style name: scalars, ``p1..pk``, ``loc1..``, etc."""
-        scalars = {
-            "log_posterior": self.log_posterior,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "phi_sq": self.phi_sq,
-            "phi_sign": self.phi_sign,
-            "lam": self.lam,
-        }
-        if name in scalars:
-            if scalars[name] is None:
-                raise KeyError(name)
-            return scalars[name]
-        vectors = {
-            "p": self.weights,
-            "loc": self.locs,
-            "scale": self.scales,
-            "xi": self.xi,
-            "varpi": self.varpi,
-            "gamma": self.gamma,
-        }
-        for prefix, arr in vectors.items():
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
-                if arr is None:
-                    raise KeyError(name)
-                return arr[:, int(name[len(prefix):]) - 1]
-        raise KeyError(name)
+        """Column by CSV name: scalars, ``p1..pk``, ``loc1..``, etc."""
+        return dict(self.columns())[name]
 
     def post_burn(self, name: str) -> np.ndarray:
         return self.column(name)[self.burn_in:]

@@ -41,7 +41,6 @@ __all__ = [
     "standard_from_angular",
     "angular_from_standard",
     "check_alpha_tau",
-    "check_gamma_eta",
 ]
 
 #: residual beyond which a vector is rejected as lying off the hyperplane
@@ -71,16 +70,6 @@ def check_alpha_tau(at: AlphaTau, p: np.ndarray, tol: float = CONSTRAINT_TOL) ->
         raise ValueError(
             f"offset/scale constraints violated: sum p*alpha = {s1!r}, "
             f"sum p*(tau^2 + alpha^2) = {s2!r}"
-        )
-
-
-def check_gamma_eta(ge: GammaEta, p: np.ndarray, tol: float = CONSTRAINT_TOL) -> None:
-    """Verify ``sum sqrt(p_i) gamma_i = 0`` and unit norm of (gamma, eta)."""
-    s1 = float(np.sqrt(p) @ ge.gamma)
-    s2 = float(np.sum(ge.gamma**2) + np.sum(ge.eta**2))
-    if abs(s1) > tol or abs(s2 - 1.0) > tol:
-        raise ValueError(
-            f"sphere constraints violated: sum sqrt(p)*gamma = {s1!r}, norm = {s2!r}"
         )
 
 
