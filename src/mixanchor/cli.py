@@ -32,7 +32,8 @@ from .postprocess import (
     summarise,
 )
 from .priors import PriorSpec, prior_quantile_study, sample_prior
-from .sampler import RunConfig, gelman_rubin, mwg_exponential, mwg_gaussian, mwg_gaussian_k2, mwg_poisson
+from .sampler import RunConfig, chain_columns, gelman_rubin
+from .sampler import mwg_exponential, mwg_gaussian, mwg_gaussian_k2, mwg_poisson
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,21 +76,29 @@ def _run_settings(cfg: dict, args) -> dict:
         raise ValueError(f"unknown run options: {sorted(unknown)}")
     if "iterations" not in run:
         raise ValueError("the run configuration must set 'iterations'")
-    if "adapt_horizon" in run and run["adapt_horizon"] is None:
-        del run["adapt_horizon"]
     return run
 
 
 def _read_data_csv(path) -> Dataset:
+    """One observation per non-empty line; only the first such line may be a header."""
     values = []
+    header_allowed = True
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row:
+        reader = csv.reader(handle)
+        for row in reader:
+            cells = [cell for cell in row if cell.strip()]
+            if not cells:
                 continue
+            if len(cells) > 1:
+                raise ValueError(f"{path}, line {reader.line_num}: expected one value per row")
             try:
-                values.append(float(row[0]))
+                values.append(float(cells[0]))
             except ValueError:
-                continue  # header line
+                if not header_allowed:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: not a number: {cells[0]!r}"
+                    ) from None
+            header_allowed = False
     if not values:
         raise ValueError(f"no observations found in {path}")
     return Dataset(np.array(values))
@@ -273,14 +282,7 @@ def cmd_prior_sample(args) -> int:
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)
-    columns = [(f"p{i + 1}", draws.weights[:, i]) for i in range(k)]
-    if family == "gaussian":
-        columns += [("phi_sq", draws.phi_sq), ("phi_sign", draws.phi_sign)]
-        columns += [(f"varpi{i + 1}", draws.varpi[:, i]) for i in range(k - 2)]
-        columns += [(f"xi{i + 1}", draws.xi[:, i]) for i in range(k - 1)]
-    else:
-        columns += [(f"gamma{i + 1}", draws.gamma[:, i]) for i in range(k)]
-    write_table(out, columns)
+    write_table(out, list(chain_columns(draws)), integers={"phi_sign"})
     if args.quantiles:
         levels = [float(q) for q in args.quantiles.split(",")]
         table = prior_quantile_study(prior, k, args.n, levels, seed)

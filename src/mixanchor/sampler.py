@@ -18,9 +18,9 @@ Proposal scales are tuned batch-by-batch toward the usual optimal
 acceptance rates, 0.44 for one-dimensional blocks and 0.234 for vector
 blocks: after each batch the log-scale moves by ``min(0.01, b^-1/2)`` in
 the direction that pushes the observed rate toward its target.  Adaptation
-stops after a configurable horizon (half the run by default) so that the
-retained draws come from a fixed kernel; a flag restores never-ending
-adaptation.
+stops after ``adapt_horizon`` iterations (half the run by default) so that
+the retained draws come from a fixed kernel; a horizon of at least the run
+length adapts throughout.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ __all__ = [
     "ChainRecord",
     "RunResult",
     "adapt_scales",
-    "beta_concentration_step",
-    "dirichlet_concentration_step",
-    "invgamma_independence_step",
-    "metropolis_accept",
+    "chain_columns",
     "mwg_gaussian",
     "mwg_gaussian_k2",
     "mwg_poisson",
@@ -69,6 +66,10 @@ __all__ = [
 
 HALF_PI = math.pi / 2
 TWO_PI = 2 * math.pi
+
+BATCH_SIZE = 50  # iterations per adaptation batch
+SCALAR_RATE = 0.44  # target acceptance rate of one-dimensional blocks
+VECTOR_RATE = 0.234  # target acceptance rate of vector blocks
 
 
 # --------------------------------------------------------------------------
@@ -96,11 +97,6 @@ class ScaleBank:
                 raise ValueError(f"scale for block {name!r} must be positive")
 
 
-def adaptation_step(batch_index: int) -> float:
-    """Log-scale increment for the given (1-based) batch index."""
-    return min(0.01, batch_index ** -0.5)
-
-
 def adapt_scales(bank: ScaleBank, batch_rates: dict) -> ScaleBank:
     """One batch of acceptance-rate tuning; returns the updated bank.
 
@@ -109,7 +105,7 @@ def adapt_scales(bank: ScaleBank, batch_rates: dict) -> ScaleBank:
     to its target leaves the scale untouched.
     """
     b = bank.batch_index + 1
-    delta = adaptation_step(b)
+    delta = min(0.01, b ** -0.5)
     scales = dict(bank.scales)
     for name, rate in batch_rates.items():
         kind = bank.kinds.get(name, "fixed")
@@ -134,13 +130,8 @@ class RunConfig:
     burn_in: int = 1000
     n_chains: int = 1
     seed: int = 0
-    batch_size: int = 50
     adapt_horizon: int | None = None
-    adapt_throughout: bool = False
     proposal: int = 1
-    lambda_proposal: str = "independence"
-    target_scalar: float = 0.44
-    target_vector: float = 0.234
     init_scales: dict | None = None
 
     def __post_init__(self):
@@ -150,16 +141,10 @@ class RunConfig:
             raise ValueError("need at least one chain")
         if self.proposal not in (1, 2):
             raise ValueError("proposal variant must be 1 or 2")
-        if self.lambda_proposal not in ("independence", "random_walk"):
-            raise ValueError("lambda_proposal must be 'independence' or 'random_walk'")
 
     @property
     def horizon(self) -> int:
-        if self.adapt_throughout:
-            return self.iterations
-        if self.adapt_horizon is not None:
-            return self.adapt_horizon
-        return self.iterations // 2
+        return self.iterations // 2 if self.adapt_horizon is None else self.adapt_horizon
 
 
 # --------------------------------------------------------------------------
@@ -184,6 +169,20 @@ CHAIN_FIELDS = (
     ("weights", "p"), ("locs", "loc"), ("scales", "scale"), ("gamma", "gamma"),
     ("phi_sq", None), ("phi_sign", None), ("xi", "xi"), ("varpi", "varpi"),
 )
+
+
+def chain_columns(draws):
+    """Yield ``(CSV name, 1-d column)`` in ``CHAIN_FIELDS`` order for any object
+    carrying some of those fields as attributes; absent or ``None`` ones are skipped."""
+    for field, prefix in CHAIN_FIELDS:
+        values = getattr(draws, field, None)
+        if values is None:
+            continue
+        if prefix is None:
+            yield field, values
+        else:
+            for i in range(values.shape[1]):
+                yield f"{prefix}{i + 1}", values[:, i]
 
 
 @dataclass
@@ -214,17 +213,7 @@ class Chain:
     def iterations(self) -> np.ndarray:
         return np.arange(len(self))
 
-    def columns(self):
-        """Yield ``(CSV name, 1-d column)`` in ``CHAIN_FIELDS`` order; absent fields are skipped."""
-        for field, prefix in CHAIN_FIELDS:
-            values = getattr(self, field)
-            if values is None:
-                continue
-            if prefix is None:
-                yield field, values
-            else:
-                for i in range(values.shape[1]):
-                    yield f"{prefix}{i + 1}", values[:, i]
+    columns = chain_columns
 
     def column(self, name: str) -> np.ndarray:
         """Column by CSV name: scalars, ``p1..pk``, ``loc1..``, etc."""
@@ -312,14 +301,6 @@ def _log_invgamma_pdf(x: float, shape: float, scale: float) -> float:
     return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * math.log(x) - scale / x
 
 
-def metropolis_accept(rng, log_ratio: float) -> bool:
-    """Draw the acceptance coin; always consumes one uniform."""
-    u = rng.random()
-    if log_ratio >= 0.0:
-        return True
-    return math.log(u) < log_ratio
-
-
 def _mh_step(rng, state, lp, proposal, target):
     """One Metropolis-Hastings decision; returns ``(state, lp, accepted)``.
 
@@ -328,7 +309,9 @@ def _mh_step(rng, state, lp, proposal, target):
     """
     proposed, log_q = proposal
     lp_p = -math.inf if proposed is None else target(proposed)
-    if metropolis_accept(rng, -math.inf if lp_p == -math.inf else lp_p - lp + log_q):
+    u = rng.random()  # drawn on every step, so the stream never depends on the support
+    log_ratio = -math.inf if lp_p == -math.inf else lp_p - lp + log_q
+    if log_ratio >= 0.0 or math.log(u) < log_ratio:
         return proposed, lp_p, True
     return state, lp, False
 
@@ -397,29 +380,6 @@ def _simplex_log_ratio_walk(rng, v, eps):
     return prop, float(np.sum(np.log(prop)) - np.sum(np.log(v)))
 
 
-def beta_concentration_step(rng, x, eps, logpost, offset=1.0, lp_cur=None):
-    """Beta proposal ``Beta(x*eps + offset, (1-x)*eps + offset)`` with correction.
-
-    Returns ``(new_x, new_logpost, accepted)``; ``logpost`` maps a point of
-    (0, 1) to its target log-density.  Pass ``lp_cur`` to avoid re-evaluating
-    the current point.
-    """
-    lp_cur = logpost(x) if lp_cur is None else lp_cur
-    return _mh_step(rng, x, lp_cur, _beta_proposal(rng, x, eps, offset), logpost)
-
-
-def dirichlet_concentration_step(rng, v, eps, logpost, offset=1.0, lp_cur=None):
-    """Dirichlet proposal ``Dir(v*eps + offset)`` with full q-correction."""
-    lp_cur = logpost(v) if lp_cur is None else lp_cur
-    return _mh_step(rng, v, lp_cur, _dirichlet_proposal(rng, v, eps, offset), logpost)
-
-
-def invgamma_independence_step(rng, x, shape, scale, logpost, lp_cur=None):
-    """Independence Inverse-Gamma proposal with its density correction."""
-    lp_cur = logpost(x) if lp_cur is None else lp_cur
-    return _mh_step(rng, x, lp_cur, _invgamma_proposal(rng, x, shape, scale), logpost)
-
-
 # --------------------------------------------------------------------------
 # the block driver
 
@@ -462,7 +422,7 @@ def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
     else:
         raise RuntimeError("could not find a finite initial log-posterior")
 
-    T, batch, horizon = config.iterations, config.batch_size, config.horizon
+    T, batch, horizon = config.iterations, BATCH_SIZE, config.horizon
     initial = {b.name: b.scale for b in blocks if b.kind != "fixed"}
     initial.update(config.init_scales or {})
     bank = ScaleBank(initial, {b.name: b.kind for b in blocks}, {b.name: b.rate for b in blocks})
@@ -530,8 +490,8 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
     n = data.n
     mu0 = float(np.mean(data.values))
     sigma0 = float(np.std(data.values, ddof=1))
-    scalar = config.target_scalar
-    vector = config.target_vector if k > 2 else scalar
+    scalar = SCALAR_RATE
+    vector = VECTOR_RATE if k > 2 else scalar
 
     def init(rng):
         draws = sample_prior(prior_spec, k, "gaussian", 1, rng)
@@ -574,7 +534,7 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
     ]
     if k >= 3:
         blocks.insert(3, _Block("varpi_ind", _on("varpi", refresh_varpi)))
-        varpi_rate = config.target_vector if k > 3 else scalar
+        varpi_rate = VECTOR_RATE if k > 3 else scalar
         blocks.append(_Block("varpi_rw", _on("varpi", varpi_walk), "width", 0.3, varpi_rate))
 
     def row(s):
@@ -698,11 +658,11 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
         }
 
     blocks = (
-        _Block("mu", _on("mu", mean_move), "width", mu_scale, config.target_scalar),
+        _Block("mu", _on("mu", mean_move), "width", mu_scale, SCALAR_RATE),
         _Block("sigma", _on("sigma", variance_move)),
-        _Block("p", _on("p1", weight_proposal), kind, scale, config.target_scalar),
+        _Block("p", _on("p1", weight_proposal), kind, scale, SCALAR_RATE),
         # joint (phi_sq, eta1_sq, eta2_sq) block plus a fair sign draw
-        _Block("v", _on("v", simplex_proposal, sign="sign"), kind, scale, config.target_vector),
+        _Block("v", _on("v", simplex_proposal, sign="sign"), kind, scale, VECTOR_RATE),
     )
     return blocks, lambda s: _k2_logpost(data, prior_spec, **s), init, row
 
@@ -726,8 +686,7 @@ def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> 
 def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
     xbar = float(np.mean(data.values))
     log_xbar = math.log(xbar)
-    independence = config.lambda_proposal == "independence"
-    vector = config.target_vector if k > 2 else config.target_scalar
+    vector = VECTOR_RATE if k > 2 else SCALAR_RATE
 
     def init(rng):
         draws = sample_prior(prior_spec, k, family, 1, rng)
@@ -740,10 +699,9 @@ def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
         lq_rev = -0.5 * ((math.log(lam) - log_xbar) / eps) ** 2 - math.log(lam)
         return math.exp(log_lam), lq_rev - lq_fwd
 
-    lam_scale = 2.0 / math.sqrt(data.n * xbar + 1.0) if independence else 0.1
-    lam_move = _on("lam", mean_move if independence else _log_walk)
+    lam_scale = 2.0 / math.sqrt(data.n * xbar + 1.0)
     blocks = (
-        _Block("lam", lam_move, "width", lam_scale, config.target_scalar),
+        _Block("lam", _on("lam", mean_move), "width", lam_scale, SCALAR_RATE),
         _Block("gamma", _on("gamma", _dirichlet_proposal), "concentration", float(data.n), vector),
         _Block("p", _on("weights", _dirichlet_proposal), "concentration", float(data.n), vector),
     )
@@ -757,11 +715,10 @@ def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
 def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
     """Poisson mixture sampler over ``(lam, gamma, p)``.
 
-    The global mean moves on the log scale, by default through an
-    independence proposal centred at the log sample mean (a random-walk
-    mode is available); the two simplexes move through offset Dirichlet
-    proposals.  At least one strictly positive count is required for the
-    posterior to be proper under the 1/lam prior.
+    The global mean moves on the log scale through an independence proposal
+    centred at the log sample mean; the two simplexes move through offset
+    Dirichlet proposals.  At least one strictly positive count is required
+    for the posterior to be proper under the 1/lam prior.
     """
     return _sample(_rate_kernel, data, "poisson", k, prior_spec, config)
 

@@ -123,6 +123,36 @@ class TestFit:
         assert code == 2
         assert "at least two observations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("value\n1.0\nabc\n2.5\n3,x\n4.0\n", 3),
+        ("value\n1.0\n\n2.5\n3,x\n4.0\n", 5),
+        ("1.0\n2.5\nvalue\n", 3),
+    ])
+    def test_malformed_data_rows_refused_with_line_number(self, tmp_path, capsys, text, line):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        code = main(["fit", "--family", "gaussian", "--k", "2", "--iters", "100",
+                     "--burnin", "10", "--data", str(data), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 50), ("adapt_throughout", True), ("lambda_proposal", "random_walk"),
+        ("target_scalar", 0.44), ("target_vector", 0.234),
+    ])
+    def test_removed_run_options_refused(self, gaussian_config, tmp_path, capsys, key, value):
+        config = json.loads(gaussian_config.read_text())
+        config["run"][key] = value
+        path = tmp_path / "removed.json"
+        path.write_text(json.dumps(config))
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.0\n2.5\n")
+        code = main(["fit", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown run options" in err and key in err
+
     def test_all_zero_poisson_refused(self, tmp_path, capsys):
         data = tmp_path / "zeros.csv"
         data.write_text("value\n0\n0\n0\n")
@@ -235,7 +265,7 @@ class TestFit:
         config = tmp_path / "throughout.json"
         config.write_text(json.dumps({
             "family": "gaussian", "k": 2,
-            "run": {"iterations": 200, "burn_in": 50, "adapt_throughout": True},
+            "run": {"iterations": 200, "burn_in": 50, "adapt_horizon": 200},
         }))
         out = tmp_path / "run"
         assert main(["fit", "--config", str(config), "--data", str(data),
@@ -270,7 +300,8 @@ class TestPriorSampleAndSummarize:
                      "--n", "20000", "--seed", "1", "--out", str(out)]) == 0
         rows = read_rows(out)
         assert len(rows) == 20001
-        assert rows[0] == ["p1", "p2", "p3", "phi_sq", "phi_sign", "varpi1", "xi1", "xi2"]
+        assert rows[0] == ["p1", "p2", "p3", "phi_sq", "phi_sign", "xi1", "xi2", "varpi1"]
+        assert {row[4] for row in rows[1:]} <= {"1", "-1"}
 
     def test_quantile_table_written(self, tmp_path):
         out = tmp_path / "prior.csv"

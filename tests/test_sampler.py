@@ -14,14 +14,14 @@ from mixanchor.sampler import (
     RunConfig,
     ScaleBank,
     adapt_scales,
-    beta_concentration_step,
-    dirichlet_concentration_step,
     gelman_rubin,
-    invgamma_independence_step,
     mwg_exponential,
     mwg_gaussian,
     mwg_gaussian_k2,
     mwg_poisson,
+    _beta_proposal,
+    _dirichlet_proposal,
+    _invgamma_proposal,
     _invgamma_sigma_proposal,
     _logit_walk,
     _mh_step,
@@ -89,7 +89,7 @@ class TestProposalCorrectness:
         x, lp = 0.5, target(0.5)
         below = np.empty(40000)
         for t in range(len(below)):
-            x, lp, _ = beta_concentration_step(rng, x, 4.0, target, lp_cur=lp)
+            x, lp, _ = _mh_step(rng, x, lp, _beta_proposal(rng, x, 4.0), target)
             below[t] = x < 0.5
         self._frequency_check(below[2000:], stats.beta.cdf(0.5, 3, 2), "beta step")
 
@@ -104,7 +104,7 @@ class TestProposalCorrectness:
         x, lp = 0.5, target(0.5)
         below = np.empty(40000)
         for t in range(len(below)):
-            x, lp, _ = beta_concentration_step(rng, x, 6.0, target, offset=0.0, lp_cur=lp)
+            x, lp, _ = _mh_step(rng, x, lp, _beta_proposal(rng, x, 6.0, offset=0.0), target)
             below[t] = x < 0.5
         self._frequency_check(below[2000:], mass, "offset-free beta step")
 
@@ -121,7 +121,7 @@ class TestProposalCorrectness:
         lp = target(v)
         below = np.empty(40000)
         for t in range(len(below)):
-            v, lp, _ = dirichlet_concentration_step(rng, v, 8.0, target, lp_cur=lp)
+            v, lp, _ = _mh_step(rng, v, lp, _dirichlet_proposal(rng, v, 8.0), target)
             below[t] = v[0] < 0.25
         # first coordinate of a Dirichlet marginalises to Beta(2, 7)
         self._frequency_check(below[2000:], stats.beta.cdf(0.25, 2, 7), "dirichlet step")
@@ -135,13 +135,11 @@ class TestProposalCorrectness:
         x, lp = 1.0, target(1.0)
         below = np.empty(40000)
         for t in range(len(below)):
-            x, lp, _ = invgamma_independence_step(rng, x, 3.0, 2.0, target, lp_cur=lp)
+            x, lp, _ = _mh_step(rng, x, lp, _invgamma_proposal(rng, x, 3.0, 2.0), target)
             below[t] = x < 1.0
         self._frequency_check(
             below[2000:], stats.invgamma.cdf(1.0, shape_t, scale=scale_t), "invgamma step"
         )
-
-    # the kernels' own moves, driven by the same Metropolis-Hastings step
 
     def test_logit_walk_targets_beta_law(self):
         rng = np.random.default_rng(4)
