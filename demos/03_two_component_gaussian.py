@@ -39,6 +39,6 @@ print(f"\nPSRF(mu) = {gelman_rubin(result.chains, 'mu'):.4f}, "
       f"PSRF(sigma) = {gelman_rubin(result.chains, 'sigma'):.4f}")
 print("acceptance rates after adaptation (chain 0):")
 for block, rate in result.acceptance_rates()[0].items():
-    scale = result.banks[0].scales.get(block)
+    scale = result.final_scales[0].get(block)
     note = f"  (scale {scale:.3g})" if scale is not None else ""
     print(f"  {block:>6}: {rate:.3f}{note}")

@@ -140,7 +140,13 @@ def cmd_simulate(args) -> int:
 
 def _select_sampler(family: str, k: int, config: RunConfig, proposal_set: bool):
     """Name and runner of the kernel; a k=2 Gaussian fit that sets a proposal
-    variant, by flag or config, runs the specialised two-component kernel."""
+    variant, by flag or config, runs the specialised two-component kernel,
+    and any other fit that sets one is refused."""
+    if proposal_set and (family, k) != ("gaussian", 2):
+        raise ValueError(
+            "run option 'proposal' selects the two-component Gaussian kernel; "
+            f"it applies only to a gaussian fit with k = 2, not {family} with k = {k}"
+        )
     if family == "gaussian":
         if k == 2 and proposal_set:
             return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config)
@@ -252,7 +258,7 @@ def cmd_fit(args) -> int:
         "chains": [
             {
                 "file": path,
-                "final_scales": result.banks[i].scales,
+                "final_scales": result.final_scales[i],
                 "acceptance_rates": rates,
             }
             for i, (path, rates) in enumerate(zip(chain_paths, result.acceptance_rates()))

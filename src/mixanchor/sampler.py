@@ -16,8 +16,9 @@ where the support ends.
 
 Proposal scales are tuned batch-by-batch toward the usual optimal
 acceptance rates, 0.44 for one-dimensional blocks and 0.234 for vector
-blocks: after each batch the log-scale moves by ``min(0.01, b^-1/2)`` in
-the direction that pushes the observed rate toward its target.  Adaptation
+blocks.  The tuning reads each block's kind and target from the block list
+and keeps one plain dict of scales per chain: after each batch a log-scale
+moves by ``min(0.01, b^-1/2)`` toward the block's target rate.  Adaptation
 stops after ``adapt_horizon`` iterations (half the run by default) so that
 the retained draws come from a fixed kernel; a horizon of at least the run
 length adapts throughout.
@@ -26,7 +27,8 @@ length adapts throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -39,21 +41,13 @@ from .likelihood import (
     _rate_logpost,
     loglik_gaussian_arrays,
 )
-from .params import (
-    AngularCoords,
-    GaussianState,
-    RateState,
-    StandardParams,
-)
 from .priors import PriorSpec, _log_beta, _log_dirichlet, sample_prior, sample_varpi
 from .transforms import standard_arrays_from_angular
 
 __all__ = [
-    "ScaleBank",
     "RunConfig",
     "CHAIN_FIELDS",
     "Chain",
-    "ChainRecord",
     "RunResult",
     "adapt_scales",
     "chain_columns",
@@ -72,56 +66,6 @@ SCALAR_RATE = 0.44  # target acceptance rate of one-dimensional blocks
 VECTOR_RATE = 0.234  # target acceptance rate of vector blocks
 
 
-# --------------------------------------------------------------------------
-# proposal-scale bookkeeping
-
-
-@dataclass(frozen=True)
-class ScaleBank:
-    """Per-block proposal scales with their adaptation metadata.
-
-    ``kinds`` distinguishes random-walk widths (larger scale lowers the
-    acceptance rate) from Beta/Dirichlet concentrations (larger scale
-    tightens the proposal and raises the rate); ``fixed`` blocks carry no
-    tunable scale.
-    """
-
-    scales: dict
-    kinds: dict
-    targets: dict
-    batch_index: int = 0
-
-    def __post_init__(self):
-        for name, value in self.scales.items():
-            if self.kinds.get(name) != "fixed" and value <= 0:
-                raise ValueError(f"scale for block {name!r} must be positive")
-
-
-def adapt_scales(bank: ScaleBank, batch_rates: dict) -> ScaleBank:
-    """One batch of acceptance-rate tuning; returns the updated bank.
-
-    Blocks whose observed rate exceeds the target get a wider walk (or a
-    looser concentration); rates below the target shrink it.  A rate equal
-    to its target leaves the scale untouched.
-    """
-    b = bank.batch_index + 1
-    delta = min(0.01, b ** -0.5)
-    scales = dict(bank.scales)
-    for name, rate in batch_rates.items():
-        kind = bank.kinds.get(name, "fixed")
-        if kind == "fixed" or name not in scales:
-            continue
-        target = bank.targets[name]
-        if rate > target:
-            move = delta if kind == "width" else -delta
-        elif rate < target:
-            move = -delta if kind == "width" else delta
-        else:
-            move = 0.0
-        scales[name] = scales[name] * math.exp(move)
-    return replace(bank, scales=scales, batch_index=b)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Length, seeding, and tuning knobs shared by all samplers."""
@@ -135,12 +79,25 @@ class RunConfig:
     init_scales: dict | None = None
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "n_chains", "seed", "adapt_horizon", "proposal"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "adapt_horizon" and value is None):
+                raise ValueError(f"run option {name!r} must be an integer, got {value!r}")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("need iterations > burn_in >= 0")
         if self.n_chains < 1:
             raise ValueError("need at least one chain")
         if self.proposal not in (1, 2):
-            raise ValueError("proposal variant must be 1 or 2")
+            raise ValueError("run option 'proposal' must be 1 or 2")
+        scales = {} if self.init_scales is None else self.init_scales
+        if not isinstance(scales, dict) or not all(
+            (type(v) is int or isinstance(v, float)) and 0 < v <= sys.float_info.max
+            for v in scales.values()
+        ):
+            raise ValueError(
+                f"run option 'init_scales' must map block names to finite numbers > 0, "
+                f"got {self.init_scales!r}"
+            )
 
     @property
     def horizon(self) -> int:
@@ -149,16 +106,6 @@ class RunConfig:
 
 # --------------------------------------------------------------------------
 # chain storage
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    """A single posterior draw in both parameterisations."""
-
-    iteration: int
-    state: GaussianState | RateState
-    params: StandardParams
-    log_posterior: float
 
 
 # The chain table schema, ``(Chain field, CSV prefix | None)`` in column order:
@@ -227,45 +174,13 @@ class Chain:
         flags = self.accepts[block][start:]
         return float(flags.mean()) if len(flags) else None
 
-    def record(self, t: int) -> ChainRecord:
-        if self.family == "gaussian":
-            coords = AngularCoords(
-                phi_sq=float(self.phi_sq[t]),
-                varpi=self.varpi[t],
-                xi=self.xi[t],
-                phi_sign=int(self.phi_sign[t]),
-            )
-            state = GaussianState(
-                mu=float(self.mu[t]),
-                sigma=float(self.sigma[t]),
-                weights=self.weights[t],
-                coords=coords,
-            )
-            params = StandardParams(
-                "gaussian", self.weights[t], self.locs[t], self.scales[t]
-            )
-        else:
-            state = RateState(
-                family=self.family,
-                lam=float(self.lam[t]),
-                gamma=self.gamma[t],
-                weights=self.weights[t],
-            )
-            params = StandardParams(self.family, self.weights[t], self.locs[t])
-        return ChainRecord(
-            iteration=t,
-            state=state,
-            params=params,
-            log_posterior=float(self.log_posterior[t]),
-        )
-
 
 @dataclass
 class RunResult:
     """Chains plus the final proposal scales and block acceptance rates."""
 
     chains: list
-    banks: list
+    final_scales: list
     config: RunConfig
 
     def acceptance_rates(self, start: int | None = None) -> list:
@@ -407,8 +322,28 @@ def _on(field, proposal, sign=None):
     return propose
 
 
+def adapt_scales(scales: dict, blocks, accepts: dict, t: int) -> None:
+    """Tune ``scales`` in place at the batch boundary after ``t`` sweeps.
+
+    A block accepting more often than its target rate over the batch just
+    ended gets a wider walk (or a looser concentration), one accepting less
+    often a narrower walk (a tighter concentration): the log-scale moves by
+    ``min(0.01, b^-1/2)`` at batch ``b``.  A rate equal to its target leaves
+    the scale untouched; fixed blocks carry no scale.
+    """
+    delta = min(0.01, (t // BATCH_SIZE) ** -0.5)
+    for block in blocks:
+        if block.kind == "fixed":
+            continue
+        rate = float(accepts[block.name][t - BATCH_SIZE:t].mean())
+        direction = (rate > block.rate) - (rate < block.rate)
+        if block.kind == "concentration":
+            direction = -direction
+        scales[block.name] *= math.exp(direction * delta)
+
+
 def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
-    """Run one chain of ``kernel``; returns ``(chain, final_bank)``.
+    """Run one chain of ``kernel``; returns ``(chain, final_scales)``.
 
     A kernel is ``(blocks, target, init, row)``.  Its states are dicts keyed
     by the target's argument names; ``init(rng)`` draws a candidate initial
@@ -422,27 +357,25 @@ def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
     else:
         raise RuntimeError("could not find a finite initial log-posterior")
 
-    T, batch, horizon = config.iterations, BATCH_SIZE, config.horizon
-    initial = {b.name: b.scale for b in blocks if b.kind != "fixed"}
-    initial.update(config.init_scales or {})
-    bank = ScaleBank(initial, {b.name: b.kind for b in blocks}, {b.name: b.rate for b in blocks})
+    T, horizon = config.iterations, config.horizon
+    scales = {b.name: b.scale for b in blocks if b.kind != "fixed"}
+    scales.update(config.init_scales or {})
     accepts = {b.name: np.zeros(T, dtype=np.uint8) for b in blocks}
     columns = {name: np.empty((T, *np.shape(value))) for name, value in row(state).items()}
     log_posterior = columns["log_posterior"] = np.empty(T)
 
     for t in range(T):
         for block in blocks:
-            proposal = block.propose(rng, state, bank.scales.get(block.name))
+            proposal = block.propose(rng, state, scales.get(block.name))
             state, lp, accepted = _mh_step(rng, state, lp, proposal, target)
             accepts[block.name][t] = accepted
         log_posterior[t] = lp
         for name, value in row(state).items():
             columns[name][t] = value
-        if (t + 1) % batch == 0 and t < horizon:
-            recent = slice(t + 1 - batch, t + 1)
-            bank = adapt_scales(bank, {b: float(f[recent].mean()) for b, f in accepts.items()})
-    scales = columns.pop("scales", None)
-    return Chain(family, k, config.burn_in, scales=scales, accepts=accepts, **columns), bank
+        if (t + 1) % BATCH_SIZE == 0 and t < horizon:
+            adapt_scales(scales, blocks, accepts, t + 1)
+    columns.setdefault("scales", None)  # the rate kernels have no component scales
+    return Chain(family, k, config.burn_in, accepts=accepts, **columns), scales
 
 
 def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> RunResult:
@@ -475,11 +408,18 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
     if k < 2:
         raise ValueError("need at least two components")
     kernel = build(data, family, k, prior_spec, config)
+    tuned = [b.name for b in kernel[0] if b.kind != "fixed"]
+    unknown = [name for name in config.init_scales or () if name not in tuned]
+    if unknown:
+        raise ValueError(
+            f"run option 'init_scales' names {unknown}, which are not tuned blocks of "
+            f"this kernel (tuned blocks: {tuned})"
+        )
     runs = [
         _run_chain(kernel, family, k, config, np.random.Generator(np.random.PCG64(child)))
         for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
     ]
-    return RunResult(chains=[c for c, _ in runs], banks=[b for _, b in runs], config=config)
+    return RunResult([c for c, _ in runs], [s for _, s in runs], config)
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,54 @@ class TestFit:
         err = capsys.readouterr().err
         assert "unknown run options" in err and key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", "120"), ("iterations", 120.5), ("n_chains", 1.5), ("burn_in", True),
+        ("adapt_horizon", "x"), ("proposal", True), ("init_scales", [1]),
+        ("init_scales", {"p": "1"}), ("init_scales", {"p": math.nan}),
+        ("init_scales", {"p": math.inf}), ("init_scales", {"p": 0.0}),
+        ("init_scales", {"bogus": 1.0}), ("init_scales", {"xi_ind": 1.0}),
+    ])
+    def test_invalid_run_values_refused_before_sampling(
+        self, gaussian_config, tmp_path, capsys, key, value
+    ):
+        config = json.loads(gaussian_config.read_text())
+        config["run"].update(iterations=200, burn_in=50)
+        config["run"][key] = value
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(config))
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.0\n2.5\n")
+        out = tmp_path / "r"
+        code = main(["fit", "--config", str(path), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "chain_0.csv").exists()
+
+    @pytest.mark.parametrize("family, k, by_flag", [
+        ("gaussian", 3, True), ("poisson", 2, True), ("exponential", 2, False),
+    ])
+    def test_proposal_refused_without_specialised_kernel(
+        self, tmp_path, capsys, family, k, by_flag
+    ):
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1\n2\n5\n")
+        run = {"iterations": 100, "burn_in": 10}
+        if not by_flag:
+            run["proposal"] = 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"run": run}))
+        code = main(["fit", "--config", str(config), "--family", family, "--k", str(k),
+                     "--data", str(data), "--out", str(tmp_path / "r"),
+                     *(["--proposal", "2"] if by_flag else [])])
+        assert code == 2
+        assert "proposal" in capsys.readouterr().err
+
+    def test_readme_lists_exactly_the_run_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The `run` section accepts exactly these keys")[1].split("\n\n")[1]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys == [field.name for field in dataclasses.fields(RunConfig)]
+
     def test_all_zero_poisson_refused(self, tmp_path, capsys):
         data = tmp_path / "zeros.csv"
         data.write_text("value\n0\n0\n0\n")

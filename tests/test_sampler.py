@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from mixanchor import mixture_moments
+from mixanchor import AngularCoords, GaussianState, RateState, StandardParams, mixture_moments
 from mixanchor.likelihood import Dataset, log_posterior
 from mixanchor.postprocess import mcse_mean
 from mixanchor.priors import PriorSpec
 from mixanchor.sampler import (
+    BATCH_SIZE,
+    SCALAR_RATE,
+    VECTOR_RATE,
     RunConfig,
-    ScaleBank,
     adapt_scales,
     gelman_rubin,
     mwg_exponential,
     mwg_gaussian,
     mwg_gaussian_k2,
     mwg_poisson,
+    _Block,
     _beta_proposal,
     _dirichlet_proposal,
     _invgamma_proposal,
@@ -31,40 +36,137 @@ from mixanchor.sampler import (
 from conftest import simulate_gaussian, simulate_poisson_model1, TWO_COMP_TRUTH
 
 
-class TestAdaptScales:
-    def _bank(self):
-        return ScaleBank(
-            scales={"mu": 1.0, "p": 100.0},
-            kinds={"mu": "width", "p": "concentration", "sigma": "fixed"},
-            targets={"mu": 0.44, "p": 0.234},
-        )
+def reference_adapt_scales(scales, kinds, targets, batch_index, batch_rates):
+    """One batch of the former bank update, ``adapt_scales``'s reference:
+    returns the new ``(scales, batch_index)``."""
+    b = batch_index + 1
+    delta = min(0.01, b ** -0.5)
+    scales = dict(scales)
+    for name, rate in batch_rates.items():
+        kind = kinds.get(name, "fixed")
+        if kind == "fixed" or name not in scales:
+            continue
+        target = targets[name]
+        if rate > target:
+            move = delta if kind == "width" else -delta
+        elif rate < target:
+            move = -delta if kind == "width" else delta
+        else:
+            move = 0.0
+        scales[name] = scales[name] * math.exp(move)
+    return scales, b
 
+
+# 12 of a batch's 50 flags meet the p target exactly; no count meets 0.234
+BLOCKS = (
+    _Block("mu", None, "width", 1.0, 0.44),
+    _Block("p", None, "concentration", 100.0, 0.24),
+    _Block("sigma", None),
+)
+
+
+def _accepts(t, **rates):
+    """Flags for ``t`` sweeps; every batch accepts ``rates[name]`` (default 1/2) of a block's moves."""
+    accepts = {}
+    for block in BLOCKS:
+        hits = round(rates.get(block.name, 0.5) * BATCH_SIZE)
+        batch = np.array([1] * hits + [0] * (BATCH_SIZE - hits), dtype=np.uint8)
+        accepts[block.name] = np.tile(batch, t // BATCH_SIZE)
+    return accepts
+
+
+def _scales():
+    return {b.name: b.scale for b in BLOCKS if b.kind != "fixed"}
+
+
+def _bits(scales):
+    return {name: float(value).hex() for name, value in scales.items()}
+
+
+class TestAdaptScales:
     def test_saturated_rate_widens_walk(self):
-        bank = adapt_scales(self._bank(), {"mu": 1.0})
-        assert bank.scales["mu"] > 1.0
-        assert bank.batch_index == 1
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(BATCH_SIZE, mu=1.0), BATCH_SIZE)
+        assert scales["mu"] > 1.0
+        assert scales["mu"] == math.exp(0.01)  # the first batch's step
 
     def test_rate_at_target_keeps_scale(self):
-        bank = adapt_scales(self._bank(), {"mu": 0.44, "p": 0.234})
-        assert bank.scales["mu"] == 1.0
-        assert bank.scales["p"] == 100.0
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(BATCH_SIZE, mu=0.44, p=0.24), BATCH_SIZE)
+        assert scales["mu"] == 1.0
+        assert scales["p"] == 100.0
 
     def test_concentration_moves_opposite_to_width(self):
         # too many acceptances: loosen the concentration (smaller value)
-        bank = adapt_scales(self._bank(), {"p": 0.9})
-        assert bank.scales["p"] < 100.0
-        bank = adapt_scales(self._bank(), {"p": 0.05})
-        assert bank.scales["p"] > 100.0
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(BATCH_SIZE, p=0.9), BATCH_SIZE)
+        assert scales["p"] < 100.0
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(BATCH_SIZE, p=0.06), BATCH_SIZE)
+        assert scales["p"] > 100.0
 
     def test_step_size_schedule(self):
-        bank = self._bank()
-        for _ in range(3):
-            bank = adapt_scales(bank, {"mu": 1.0})
-        assert bank.scales["mu"] == pytest.approx(math.exp(3 * 0.01), abs=1e-12)
+        scales, accepts = _scales(), _accepts(3 * BATCH_SIZE, mu=1.0)
+        for b in range(1, 4):
+            adapt_scales(scales, BLOCKS, accepts, b * BATCH_SIZE)
+        assert scales["mu"] == pytest.approx(math.exp(3 * 0.01), abs=1e-12)
 
     def test_fixed_blocks_untouched(self):
-        bank = adapt_scales(self._bank(), {"sigma": 0.99})
-        assert "sigma" not in bank.scales
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(BATCH_SIZE, sigma=0.99), BATCH_SIZE)
+        assert "sigma" not in scales
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(["width", "concentration", "fixed"]),
+                st.one_of(st.sampled_from([SCALAR_RATE, VECTOR_RATE, 0.24, 0.5]), st.floats(0, 1)),
+                st.floats(1e-3, 1e3),
+                st.sampled_from([0.0, 0.24, 0.44, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        batches=st.integers(1, 12),
+        horizon=st.integers(0, 12 * BATCH_SIZE),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_update_matches_reference_bits(self, specs, batches, horizon, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [
+            _Block(f"b{i}", None, kind, None if kind == "fixed" else scale, rate)
+            for i, (kind, rate, scale, _) in enumerate(specs)
+        ]
+        T = batches * BATCH_SIZE
+        accepts = {
+            b.name: (rng.random(T) < accept).astype(np.uint8)
+            for b, (*_, accept) in zip(blocks, specs)
+        }
+        scales = {b.name: b.scale for b in blocks if b.kind != "fixed"}
+        kinds, targets = {b.name: b.kind for b in blocks}, {b.name: b.rate for b in blocks}
+        reference, batch_index = dict(scales), 0
+        for t in range(T):
+            if (t + 1) % BATCH_SIZE == 0 and t < horizon:
+                adapt_scales(scales, blocks, accepts, t + 1)
+                recent = slice(t + 1 - BATCH_SIZE, t + 1)
+                reference, batch_index = reference_adapt_scales(
+                    reference, kinds, targets, batch_index,
+                    {name: float(flags[recent].mean()) for name, flags in accepts.items()},
+                )
+                assert _bits(scales) == _bits(reference)
+
+    def test_step_shrinks_past_batch_10000(self):
+        # at batch b = 40 000 the step is b^-1/2 = 0.005 < 0.01
+        b = 40_000
+        scales = _scales()
+        adapt_scales(scales, BLOCKS, _accepts(b * BATCH_SIZE, mu=1.0, p=0.9), b * BATCH_SIZE)
+        reference, _ = reference_adapt_scales(
+            _scales(), {x.name: x.kind for x in BLOCKS}, {x.name: x.rate for x in BLOCKS},
+            b - 1, {"mu": 1.0, "p": 0.9, "sigma": 0.5},
+        )
+        assert _bits(scales) == _bits(reference)
+        assert scales["mu"] == math.exp(0.005)
 
 
 class TestProposalCorrectness:
@@ -184,6 +286,16 @@ class TestProposalCorrectness:
         )
 
 
+def _draw(chain, t):
+    """The state and standard parameters of sweep ``t``, built from the chain's columns."""
+    if chain.family == "gaussian":
+        coords = AngularCoords(chain.phi_sq[t], chain.varpi[t], chain.xi[t], chain.phi_sign[t])
+        state = GaussianState(float(chain.mu[t]), float(chain.sigma[t]), chain.weights[t], coords)
+        return state, StandardParams("gaussian", chain.weights[t], chain.locs[t], chain.scales[t])
+    state = RateState(chain.family, float(chain.lam[t]), chain.gamma[t], chain.weights[t])
+    return state, StandardParams(chain.family, chain.weights[t], chain.locs[t])
+
+
 class TestChainMechanics:
     def test_rejected_iterations_repeat_state_bitwise(self, example1_k2_run):
         chain = example1_k2_run.chains[0]
@@ -210,10 +322,10 @@ class TestChainMechanics:
         chain = example1_k2_run.chains[0]
         rng = np.random.default_rng(0)
         for t in rng.integers(0, len(chain), size=40):
-            rec = chain.record(int(t))
-            mean, var = mixture_moments(rec.params)
-            assert abs(mean - rec.state.mu) < 1e-10
-            assert abs(var - rec.state.sigma**2) < 1e-10 * max(1.0, rec.state.sigma**2)
+            state, params = _draw(chain, int(t))
+            mean, var = mixture_moments(params)
+            assert abs(mean - state.mu) < 1e-10
+            assert abs(var - state.sigma**2) < 1e-10 * max(1.0, state.sigma**2)
         assert np.all(np.isfinite(chain.log_posterior))
 
     def test_collapsing_proposal_scale_accepts_everything(self, example1_data):
@@ -261,7 +373,7 @@ def test_recorded_log_posterior_matches_public_reference(family, k, kind):
     config = RunConfig(iterations=300, burn_in=50, seed=2)
     chain = sampler[family](data, k, spec, config).chains[0]
     for t in range(0, len(chain), 7):
-        assert chain.log_posterior[t] == log_posterior(data, spec, chain.record(t).state)
+        assert chain.log_posterior[t] == log_posterior(data, spec, _draw(chain, t)[0])
 
 
 class TestGaussianPosteriors:
