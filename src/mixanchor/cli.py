@@ -57,6 +57,14 @@ def _prior_from_config(cfg: dict) -> PriorSpec:
     )
 
 
+def _component_count(cfg: dict, args, default=None) -> int:
+    """``--k``, else the config's ``k``: an integer >= 2, checked like the run options."""
+    k = args.k if args.k is not None else cfg.get("k", default)
+    if type(k) is not int or k < 2:
+        raise ValueError(f"{args.command} needs a component count k, an integer >= 2, got {k!r}")
+    return k
+
+
 def _run_settings(cfg: dict, args) -> dict:
     """The config's run section with the command-line flags laid over it."""
     run = dict(cfg.get("run", {}))
@@ -211,10 +219,7 @@ def cmd_fit(args) -> int:
     family = args.family or cfg.get("family")
     if family not in ("gaussian", "poisson", "exponential"):
         raise ValueError("fit needs a family (gaussian, poisson, exponential)")
-    k = args.k if args.k is not None else cfg.get("k")
-    if k is None or int(k) < 2:
-        raise ValueError("fit needs a component count k >= 2")
-    k = int(k)
+    k = _component_count(cfg, args)
     prior = _prior_from_config(cfg)
     run = _run_settings(cfg, args)
     config = RunConfig(**run)
@@ -281,7 +286,7 @@ def cmd_fit(args) -> int:
 def cmd_prior_sample(args) -> int:
     cfg = _load_config(args.config)
     family = args.family or cfg.get("family", "gaussian")
-    k = int(args.k if args.k is not None else cfg.get("k", 2))
+    k = _component_count(cfg, args, default=2)
     prior = _prior_from_config(cfg)
     if args.kind is not None:
         prior = dataclasses.replace(prior, kind=args.kind)

@@ -12,12 +12,14 @@ labels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import transforms
 from .params import (
     GaussianState,
     MIN_WEIGHT,
@@ -25,7 +27,11 @@ from .params import (
     RateState,
     StandardParams,
 )
-from .priors import (
+# The layer tracer of ``bench/spans.py`` wraps each layer under the name its
+# caller looks up, so ``transforms.basis_rows`` is called through its module,
+# and ``log_prior`` and ``standard_arrays_from_angular``, no longer on the
+# targets' path, stay importable from here.
+from .priors import (  # noqa: F401
     PriorSpec,
     _log_beta,
     _log_dirichlet,
@@ -33,7 +39,7 @@ from .priors import (
     log_varpi_density,
     log_xi_density,
 )
-from .transforms import standard_arrays_from_angular
+from .transforms import _direction_from_angles, standard_arrays_from_angular  # noqa: F401
 
 __all__ = [
     "Dataset",
@@ -114,22 +120,58 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
     return acc
 
 
+@cache
+def _merge_network(k: int) -> tuple:
+    """Batcher's odd-even merge sort on ``k`` wires, as ``(lo, hi)`` slice pairs.
+
+    Each pair is a batch of compare-exchanges of row ``lo[i]`` with row
+    ``hi[i]``; the batches run in order.  The network is Batcher's (1968) for
+    the next power of two, less every comparator that touches a wire ``>= k``:
+    those wires would hold ``+inf`` padding, which never moves.  All
+    comparators of one layer span one distance, so a run of them whose low
+    wires step evenly becomes one pair of strided slices.
+    """
+    size = 1 << (k - 1).bit_length()
+    batches = []
+    p = 1
+    while p < size:
+        d = p
+        while d >= 1:
+            lows = [
+                i + j
+                for j in range(d % p, size - d, 2 * d)
+                for i in range(min(d, size - j - d))
+                if (i + j) // (2 * p) == (i + j + d) // (2 * p) and i + j + d < k
+            ]
+            while lows:
+                step = lows[1] - lows[0] if len(lows) > 1 else 1
+                run = 1
+                while run < len(lows) and lows[run] - lows[run - 1] == step:
+                    run += 1
+                first, last = lows[0], lows[run - 1]
+                batches.append(
+                    (slice(first, last + 1, step), slice(first + d, last + d + 1, step))
+                )
+                lows = lows[run:]
+            d //= 2
+        p *= 2
+    return tuple(batches)
+
+
 def _sort_rows(rows: np.ndarray) -> None:
     """Sort every column of ``rows`` (k, n) ascending, in place.
 
-    k rounds of odd-even transposition, each one elementwise compare-exchange
-    of all adjacent row pairs of one parity, give the values ``np.sort(rows,
-    axis=0)`` gives.  A NaN spreads to every later row instead of moving to
-    the last, so the last row is NaN exactly where a sort puts a NaN there.
+    The compare-exchanges of :func:`_merge_network` give the values
+    ``np.sort(rows, axis=0)`` gives.  A NaN spreads to both rows of every
+    compare-exchange it meets instead of moving to the last row; every wire
+    of a sorting network reaches the last one, so the last row is NaN
+    exactly where a sort puts a NaN there.
     """
-    k = len(rows)
-    for step in range(k):
-        first = step % 2
-        if first + 1 < k:
-            lo, hi = rows[first : k - 1 : 2], rows[first + 1 : k : 2]
-            low = np.minimum(lo, hi)
-            np.maximum(lo, hi, out=hi)
-            lo[...] = low
+    for lo_rows, hi_rows in _merge_network(len(rows)):
+        lo, hi = rows[lo_rows], rows[hi_rows]
+        low = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = low
 
 
 def _mixture_loglik(log_terms: np.ndarray, counts: np.ndarray | None = None) -> float:
@@ -151,15 +193,26 @@ def _mixture_loglik(log_terms: np.ndarray, counts: np.ndarray | None = None) -> 
 
 
 def loglik_gaussian_arrays(
-    x: np.ndarray, weights: np.ndarray, locs: np.ndarray, scales: np.ndarray
+    x: np.ndarray,
+    weights: np.ndarray,
+    locs: np.ndarray,
+    scales: np.ndarray,
+    log_weights: np.ndarray | None = None,
 ) -> float:
-    """Gaussian mixture log-likelihood from raw parameter arrays."""
-    if np.any(scales <= 0) or np.any(weights < 0):
+    """Gaussian mixture log-likelihood from raw parameter arrays.
+
+    ``log_weights`` is ``np.log(weights)`` when the caller already has it.
+    An observation whose standardised residual overflows gets a ``-inf``
+    term, the right value, with NumPy's overflow warning unless the caller
+    silences it (as :func:`loglik_gaussian` and the samplers do).
+    """
+    if (scales <= 0).any() or (weights < 0).any():
         return -math.inf
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
+    if log_weights is None:
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(weights)
     z = (x[None, :] - locs[:, None]) / scales[:, None]
-    log_terms = (log_w - np.log(scales) - 0.5 * _LOG_2PI)[:, None] - 0.5 * z * z
+    log_terms = (log_weights - np.log(scales) - 0.5 * _LOG_2PI)[:, None] - 0.5 * z * z
     return _mixture_loglik(log_terms)
 
 
@@ -167,13 +220,14 @@ def loglik_gaussian(data: Dataset, params: StandardParams) -> float:
     """Sum over observations of ``log sum_i p_i N(x | mu_i, sigma_i^2)``."""
     if params.family != "gaussian":
         raise ValueError("params must describe a gaussian mixture")
-    return loglik_gaussian_arrays(data.values, params.weights, params.locs, params.scales)
+    with np.errstate(over="ignore"):
+        return loglik_gaussian_arrays(data.values, params.weights, params.locs, params.scales)
 
 
 def loglik_poisson_arrays(
     data: Dataset, weights: np.ndarray, rates: np.ndarray
 ) -> float:
-    if np.any(rates <= 0) or np.any(weights < 0):
+    if (rates <= 0).any() or (weights < 0).any():
         return -math.inf
     uniq, counts, lgam = data._count_summary
     with np.errstate(divide="ignore"):
@@ -196,7 +250,7 @@ def loglik_poisson(data: Dataset, r: PoissonReparam) -> float:
 def loglik_exponential_arrays(
     data: Dataset, weights: np.ndarray, means: np.ndarray
 ) -> float:
-    if np.any(means <= 0) or np.any(weights < 0):
+    if (means <= 0).any() or (weights < 0).any():
         return -math.inf
     uniq, counts, _ = data._count_summary
     with np.errstate(divide="ignore"):
@@ -211,6 +265,55 @@ def loglik_exponential(data: Dataset, r: PoissonReparam) -> float:
     return loglik_exponential_arrays(data, r.weights, r.rates)
 
 
+def _cached(cache: dict, name: str, compute, *inputs):
+    """``compute(*inputs)``, reused from ``cache[name]`` while every input is the
+    very object (``is``) the stored value was computed from.
+
+    An entry keeps its inputs alive, so an identity never matches a new object
+    that took over a freed one's address.
+    """
+    entry = cache.get(name)
+    if entry is not None and all(map(operator.is_, entry[0], inputs)):
+        return entry[1]
+    value = compute(*inputs)
+    cache[name] = (inputs, value)
+    return value
+
+
+def _interior(v: np.ndarray) -> bool:
+    return bool((v >= MIN_WEIGHT).all())
+
+
+def _on_simplex(weights: np.ndarray) -> bool:
+    return abs(float(np.sum(weights)) - 1.0) <= 1e-9
+
+
+# The pieces of ``transforms.standard_arrays_from_angular``, with its float
+# operations in its order, so that the cached values match it to the bit.
+
+
+def _unit_vector(angles: np.ndarray) -> np.ndarray:
+    return _direction_from_angles(angles, len(angles) + 1)
+
+
+def _gamma(phi_sq: float, phi_sign: int, varpi_direction: np.ndarray, basis: np.ndarray):
+    # k = 2 has a single basis row and a signed radius
+    radius = phi_sign * math.sqrt(phi_sq) if len(basis) == 1 else math.sqrt(phi_sq)
+    return radius * (varpi_direction @ basis)
+
+
+def _eta(phi_sq: float, xi_direction: np.ndarray) -> np.ndarray:
+    return math.sqrt(1.0 - phi_sq) * xi_direction
+
+
+def _over_sqrt_p(scale: float, v: np.ndarray, sqrt_p: np.ndarray) -> np.ndarray:
+    return scale * v / sqrt_p
+
+
+def _rates(lam: float, gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return lam * gamma / weights
+
+
 def _rate_logpost(
     data: Dataset,
     spec: PriorSpec,
@@ -218,13 +321,23 @@ def _rate_logpost(
     lam: float,
     gamma: np.ndarray,
     weights: np.ndarray,
+    cache: dict | None = None,
 ) -> float:
-    if not (lam > 0 and np.all(gamma >= MIN_WEIGHT) and np.all(weights >= MIN_WEIGHT)):
+    """Log-posterior of a rate-family state; ``cache`` works as in
+    :func:`_gaussian_logpost` and also keeps the component ``rates``."""
+    c = {} if cache is None else cache
+    if not (
+        lam > 0
+        and _cached(c, "gamma_interior", _interior, gamma)
+        and _cached(c, "weights_interior", _interior, weights)
+    ):
         return -math.inf
-    lp = log_prior(spec, RateState(family=family, lam=lam, gamma=gamma, weights=weights))
+    lp = -math.log(lam)
+    lp += _cached(c, "log_dirichlet_gamma", _log_dirichlet, gamma, spec.gamma_dirichlet_alpha)
+    lp += _cached(c, "log_dirichlet", _log_dirichlet, weights, spec.alpha0)
     if lp == -math.inf:
         return -math.inf
-    rates = lam * gamma / weights
+    rates = _cached(c, "rates", _rates, lam, gamma, weights)
     if family == "poisson":
         return lp + loglik_poisson_arrays(data, weights, rates)
     return lp + loglik_exponential_arrays(data, weights, rates)
@@ -240,25 +353,43 @@ def _gaussian_logpost(
     phi_sign: int,
     varpi: np.ndarray,
     xi: np.ndarray,
+    cache: dict | None = None,
 ) -> float:
+    """Log-posterior of a Gaussian state in anchored coordinates.
+
+    Every derived value (support checks, prior factors, the hyperplane basis,
+    ``gamma``, ``eta``, component ``locs`` and ``scales``) is stored in
+    ``cache`` with the inputs it came from.  A caller that passes a copy of
+    the cache of the state a proposal was built from, with the unmoved fields
+    the same objects, recomputes only what the move changed; without a cache
+    everything is computed.  The prior terms are summed in one fixed order,
+    so the value is the same to the bit either way.
+    """
+    c = {} if cache is None else cache
+    k = len(weights)
     # the prior densities below return -inf outside their own supports; only
     # the log of sigma and the simplex sum are left to check here
-    k = len(weights)
-    if not (sigma > 0 and abs(float(np.sum(weights)) - 1.0) <= 1e-9):
+    if not (sigma > 0 and _cached(c, "on_simplex", _on_simplex, weights)):
         return -math.inf
     lp = -math.log(sigma)
-    lp += _log_dirichlet(weights, spec.alpha0)
-    lp += _log_beta(phi_sq, *spec.phi_beta)
+    lp += _cached(c, "log_dirichlet", _log_dirichlet, weights, spec.alpha0)
+    lp += _cached(c, "log_beta", _log_beta, phi_sq, *spec.phi_beta)
     if k == 2:
         lp += math.log(0.5)
-    lp += log_varpi_density(varpi, k)
-    lp += log_xi_density(spec, xi, k)
+    lp += _cached(c, "log_varpi", log_varpi_density, varpi, k)
+    lp += _cached(c, "log_xi", log_xi_density, spec, xi, k)
     if lp == -math.inf:
         return -math.inf
-    locs, scales, _ = standard_arrays_from_angular(
-        mu, sigma, weights, phi_sq, phi_sign, varpi, xi
-    )
-    return lp + loglik_gaussian_arrays(data.values, weights, locs, scales)
+    sqrt_p = _cached(c, "sqrt_p", np.sqrt, weights)
+    basis = _cached(c, "basis", transforms.basis_rows, weights)
+    varpi_direction = _cached(c, "varpi_direction", _unit_vector, varpi)
+    gamma = _cached(c, "gamma", _gamma, phi_sq, phi_sign, varpi_direction, basis)
+    eta = _cached(c, "eta", _eta, phi_sq, _cached(c, "xi_direction", _unit_vector, xi))
+    offsets = _cached(c, "loc_offsets", _over_sqrt_p, sigma, gamma, sqrt_p)
+    locs = _cached(c, "locs", operator.add, mu, offsets)
+    scales = _cached(c, "scales", _over_sqrt_p, sigma, eta, sqrt_p)
+    log_w = _cached(c, "log_p", np.log, weights)
+    return lp + loglik_gaussian_arrays(data.values, weights, locs, scales, log_w)
 
 
 def log_posterior(data: Dataset, prior_spec: PriorSpec, state) -> float:

@@ -180,7 +180,7 @@ def sample_prior(spec: PriorSpec, k: int, family: str, n_draws: int, seed=0):
 
 def _log_dirichlet(x: np.ndarray, alpha: float) -> float:
     k = len(x)
-    if np.any(x < MIN_WEIGHT):
+    if (x < MIN_WEIGHT).any():
         return -math.inf
     norm = gammaln(k * alpha) - k * gammaln(alpha)
     return float(norm + (alpha - 1.0) * np.sum(np.log(x)))
@@ -201,13 +201,13 @@ def log_xi_density(spec: PriorSpec, xi: np.ndarray, k: int) -> float:
     ``(k-1)! * prod_i 2 sin(xi_i)^(2(k-1-i)+1) cos(xi_i)`` over
     ``[0, pi/2]^(k-1)``; the double-uniform law is flat there.
     """
-    if np.any(xi < 0) or np.any(xi > math.pi / 2):
+    if (xi < 0).any() or (xi > math.pi / 2).any():
         return -math.inf
     m = k - 1
     if spec.kind == "double_uniform":
         return m * math.log(2.0 / math.pi)
     s, c = np.sin(xi), np.cos(xi)
-    if np.any(s == 0) or np.any(c == 0):
+    if (s == 0).any() or (c == 0).any():
         return -math.inf
     exponents = 2.0 * (m - 1 - np.arange(m)) + 1.0
     return float(
@@ -221,7 +221,7 @@ def log_varpi_density(varpi: np.ndarray, k: int) -> float:
         return 0.0
     if not 0.0 <= varpi[-1] <= 2 * math.pi:
         return -math.inf
-    if k > 3 and (np.any(varpi[:-1] < 0) or np.any(varpi[:-1] > math.pi)):
+    if k > 3 and ((varpi[:-1] < 0).any() or (varpi[:-1] > math.pi).any()):
         return -math.inf
     return -(k - 3) * math.log(math.pi) - math.log(2 * math.pi)
 

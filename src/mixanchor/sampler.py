@@ -42,7 +42,8 @@ from .likelihood import (
     loglik_gaussian_arrays,
 )
 from .priors import PriorSpec, _log_beta, _log_dirichlet, sample_prior, sample_varpi
-from .transforms import standard_arrays_from_angular
+# not called here: the layer tracer of ``bench/spans.py`` wraps it under this name
+from .transforms import standard_arrays_from_angular  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -203,7 +204,7 @@ def _log_beta_pdf(x: float, a: float, b: float) -> float:
 
 
 def _log_dirichlet_pdf(x: np.ndarray, alpha: np.ndarray) -> float:
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         return -math.inf
     return float(
         gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ np.log(x)
@@ -245,7 +246,7 @@ def _beta_proposal(rng, x, eps, offset=1.0):
 def _dirichlet_proposal(rng, v, eps, offset=1.0):
     alpha_fwd = v * eps + offset
     prop = rng.dirichlet(alpha_fwd)
-    if np.any(prop <= 0.0):
+    if (prop <= 0.0).any():
         return None, 0.0
     lq_fwd = _log_dirichlet_pdf(prop, alpha_fwd)
     lq_rev = _log_dirichlet_pdf(v, prop * eps + offset)
@@ -270,16 +271,26 @@ def _normal_walk(rng, x, eps):
 
 
 def _log_walk(rng, x, eps):
-    """Normal random walk on log x; the Jacobian makes it a move over x."""
+    """Normal random walk on log x; the Jacobian makes it a move over x.  A
+    step past the float range, either way, leaves the support."""
     log_x = math.log(x)
     log_p = log_x + eps * rng.standard_normal()
-    return math.exp(log_p), log_p - log_x
+    try:
+        prop = math.exp(log_p)
+    except OverflowError:
+        return None, 0.0
+    if prop == 0.0:
+        return None, 0.0
+    return prop, log_p - log_x
 
 
 def _logit_walk(rng, p, eps):
     """Normal random walk on logit p, as a move over p in (0, 1)."""
     logit_p = math.log(p / (1.0 - p)) + eps * rng.standard_normal()
-    prop = 1.0 / (1.0 + math.exp(-logit_p))
+    try:
+        prop = 1.0 / (1.0 + math.exp(-logit_p))
+    except OverflowError:  # p underflows to 0
+        return None, 0.0
     if not 0.0 < prop < 1.0:
         return None, 0.0
     return prop, math.log(prop * (1.0 - prop)) - math.log(p * (1.0 - p))
@@ -290,7 +301,7 @@ def _simplex_log_ratio_walk(rng, v, eps):
     chi = np.log(v[:-1] / v[-1])
     expd = np.exp(chi + eps * rng.standard_normal(len(chi)))
     prop = np.append(expd, 1.0) / (1.0 + expd.sum())
-    if np.any(prop <= 0.0):
+    if (prop <= 0.0).any():
         return None, 0.0
     return prop, float(np.sum(np.log(prop)) - np.sum(np.log(v)))
 
@@ -320,6 +331,19 @@ def _on(field, proposal, sign=None):
         return (None if value is None else {**state, field: value, **flip}), log_q
 
     return propose
+
+
+def _fields(state: dict) -> dict:
+    """A state's coordinates, without its cache."""
+    return {name: value for name, value in state.items() if name != "cache"}
+
+
+def _own_cache(state: dict) -> None:
+    """Give ``state`` its own copy of the derived-value cache it shares with the
+    state it was proposed from (``_on`` copies the reference), so that a
+    target filling it leaves the current state's values in place; the target
+    then recomputes only the values whose inputs the move replaced."""
+    state["cache"] = dict(state["cache"])
 
 
 def adapt_scales(scales: dict, blocks, accepts: dict, t: int) -> None:
@@ -415,10 +439,14 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
             f"run option 'init_scales' names {unknown}, which are not tuned blocks of "
             f"this kernel (tuned blocks: {tuned})"
         )
-    runs = [
-        _run_chain(kernel, family, k, config, np.random.Generator(np.random.PCG64(child)))
-        for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    ]
+    # a move that takes a standardised residual past the float range gets a
+    # -inf likelihood term, which is right; its overflow warning is silenced
+    # once here rather than in every target call
+    with np.errstate(over="ignore"):
+        runs = [
+            _run_chain(kernel, family, k, config, np.random.Generator(np.random.PCG64(child)))
+            for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
+        ]
     return RunResult([c for c, _ in runs], [s for _, s in runs], config)
 
 
@@ -443,6 +471,7 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
             "phi_sign": int(draws.phi_sign[0]),
             "varpi": draws.varpi[0].copy(),
             "xi": draws.xi[0].copy(),
+            "cache": {},
         }
 
     def refresh_xi(rng, xi, _):
@@ -453,7 +482,7 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
 
     def xi_walk(rng, xi, eps):
         xi = xi + rng.uniform(-eps, eps, size=k - 1)
-        return (None if np.any(xi < 0.0) or np.any(xi > HALF_PI) else xi), 0.0
+        return (None if (xi < 0.0).any() or (xi > HALF_PI).any() else xi), 0.0
 
     def varpi_walk(rng, varpi, eps):
         # periodic wrapping: [0, pi) for all but the last angle, [0, 2 pi) for it
@@ -477,13 +506,15 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
         varpi_rate = VECTOR_RATE if k > 3 else scalar
         blocks.append(_Block("varpi_rw", _on("varpi", varpi_walk), "width", 0.3, varpi_rate))
 
-    def row(s):
-        locs, scales, _ = standard_arrays_from_angular(
-            s["mu"], s["sigma"], s["weights"], s["phi_sq"], s["phi_sign"], s["varpi"], s["xi"]
-        )
-        return {**s, "locs": locs, "scales": scales}
+    def target(s):
+        _own_cache(s)
+        return _gaussian_logpost(data, prior_spec, **s)
 
-    return tuple(blocks), lambda s: _gaussian_logpost(data, prior_spec, **s), init, row
+    def row(s):
+        cache = s["cache"]
+        return {**_fields(s), "locs": cache["locs"][1], "scales": cache["scales"][1]}
+
+    return tuple(blocks), target, init, row
 
 
 def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
@@ -630,7 +661,12 @@ def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
 
     def init(rng):
         draws = sample_prior(prior_spec, k, family, 1, rng)
-        return {"lam": xbar, "gamma": draws.gamma[0].copy(), "weights": draws.weights[0].copy()}
+        return {
+            "lam": xbar,
+            "gamma": draws.gamma[0].copy(),
+            "weights": draws.weights[0].copy(),
+            "cache": {},
+        }
 
     def mean_move(rng, lam, eps):
         # log-normal independence draw at the sample mean, as a move over lam
@@ -646,10 +682,14 @@ def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
         _Block("p", _on("weights", _dirichlet_proposal), "concentration", float(data.n), vector),
     )
 
-    def row(s):
-        return {**s, "locs": s["lam"] * s["gamma"] / s["weights"]}
+    def target(s):
+        _own_cache(s)
+        return _rate_logpost(data, prior_spec, family, **s)
 
-    return blocks, lambda s: _rate_logpost(data, prior_spec, family, **s), init, row
+    def row(s):
+        return {**_fields(s), "locs": s["cache"]["rates"][1]}
+
+    return blocks, target, init, row
 
 
 def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:

@@ -120,7 +120,7 @@ def basis_rows(p: np.ndarray) -> np.ndarray:
     k = len(p)
     if k < 2:
         raise ValueError("need at least two components")
-    if np.any(p < MIN_WEIGHT):
+    if (p < MIN_WEIGHT).any():
         raise ValueError("degenerate simplex: all weights must exceed 1e-12")
     sq = np.sqrt(p)
     vectors = np.zeros((k - 1, k))

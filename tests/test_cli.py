@@ -341,6 +341,33 @@ class TestFit:
         assert "at least two distinct observations" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("k", [2.7, True, "3", 1, None])
+    def test_non_integer_k_refused(self, gaussian_config, tmp_path, capsys, k):
+        # 2.7 used to fit k = 2 and "3" or true to pass as counts
+        config = json.loads(gaussian_config.read_text())
+        config["k"] = k
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(config))
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.0\n2.5\n")
+        code = main(["fit", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "integer >= 2" in capsys.readouterr().err
+
+    def test_wide_logit_walk_fits(self, gaussian_config, tmp_path):
+        # at scale 1000 the logit walk's exp overflowed and the fit exited 3
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "30",
+              "--seed", "4", "--out", str(data)])
+        config = json.loads(gaussian_config.read_text())
+        config["run"].update(iterations=300, burn_in=50, init_scales={"p": 1000})
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(config))
+        assert main(["fit", "--config", str(path), "--data", str(data), "--proposal", "2",
+                     "--out", str(tmp_path / "r")]) == 0
+
+
 class TestPriorSampleAndSummarize:
     def test_prior_sample_row_count(self, tmp_path):
         out = tmp_path / "prior.csv"
@@ -358,6 +385,15 @@ class TestPriorSampleAndSummarize:
         qrows = read_rows(tmp_path / "prior_quantiles.csv")
         assert qrows[0] == ["q0.5", "q0.99"]
         assert len(qrows) == 51
+
+    @pytest.mark.parametrize("k", [2.7, True, "3", 1])
+    def test_prior_sample_refuses_non_integer_k(self, tmp_path, capsys, k):
+        config = tmp_path / "k.json"
+        config.write_text(json.dumps({"family": "gaussian", "k": k}))
+        code = main(["prior-sample", "--config", str(config), "--n", "5",
+                     "--out", str(tmp_path / "prior.csv")])
+        assert code == 2
+        assert "integer >= 2" in capsys.readouterr().err
 
     def test_summarize_matches_fit_summary(self, gaussian_config, tmp_path):
         data = tmp_path / "data.csv"

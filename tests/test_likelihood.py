@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,12 +302,37 @@ class TestAggregation:
         ref, ours = aggregate_both(terms, counts)
         assert same_float(ours, ref)
 
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_network_sorts_every_permutation(self, k):
         columns = np.array(list(itertools.permutations(range(k))), dtype=float).T
         expected = np.sort(columns, axis=0)
         _sort_rows(columns)
         assert np.array_equal(columns, expected)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_network_matches_np_sort_bits_with_ties_and_infinities(self, k):
+        rng = np.random.default_rng(k)
+        columns = rng.choice([-math.inf, -2.5, -1.0, 0.5, 0.5, 3.0, 1e300, math.inf],
+                             size=(k, 4000))
+        columns[:, :2000] = rng.normal(0.0, 1.0, (k, 2000))
+        expected = np.sort(columns, axis=0)
+        _sort_rows(columns)
+        assert columns.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_network_moves_a_nan_to_the_last_row(self, k):
+        # one NaN per column, at every row, among tied and distinct values
+        rng = np.random.default_rng(k)
+        columns = np.round(rng.normal(0.0, 1.0, (k, 6 * k)))
+        has_nan = np.zeros(6 * k, dtype=bool)
+        for row in range(k):
+            columns[row, 6 * row : 6 * row + 3] = math.nan
+            has_nan[6 * row : 6 * row + 3] = True
+        expected = np.sort(columns, axis=0)
+        _sort_rows(columns)
+        assert np.array_equal(np.isnan(columns[-1]), has_nan)
+        assert np.array_equal(np.isnan(expected[-1]), has_nan)
+        assert np.array_equal(columns[:, ~has_nan], expected[:, ~has_nan])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1))
@@ -358,6 +384,13 @@ class TestPermutationInvariance:
         assert loglik_exponential_arrays(data, w, means) == loglik_exponential_arrays(
             data, w[perm], means[perm]
         )
+
+
+def test_overflowing_residual_is_minus_inf_without_warning():
+    params = StandardParams("gaussian", [0.5, 0.5], [0.0, 1.0], [1e-10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loglik_gaussian(Dataset([0.0, 1e300]), params) == -math.inf
 
 
 class TestNaNRejected:

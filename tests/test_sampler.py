@@ -1,6 +1,7 @@
 """Sampler mechanics: adaptation, proposal corrections, posteriors, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mixanchor.sampler import (
     _dirichlet_proposal,
     _invgamma_proposal,
     _invgamma_sigma_proposal,
+    _log_walk,
     _logit_walk,
     _mh_step,
     _simplex_log_ratio_walk,
@@ -284,6 +286,33 @@ class TestProposalCorrectness:
         self._frequency_check(
             below[2000:], stats.invgamma.cdf(1.0, 5.0, scale=4.0), "inverse-gamma sigma move"
         )
+
+
+@pytest.mark.parametrize("walk, start, upper", [(_log_walk, 1.0, math.inf), (_logit_walk, 0.5, 1.0)])
+def test_walk_past_the_float_range_leaves_the_support(walk, start, upper):
+    # at scale 1000 a step's exp overflowed (11 and 8 of these 50 draws raised)
+    rng = np.random.default_rng(0)
+    outside = 0
+    for _ in range(50):
+        prop, log_q = walk(rng, start, 1000.0)
+        if prop is None:
+            outside += 1
+            assert log_q == 0.0
+        else:
+            assert 0.0 < prop < upper and math.isfinite(log_q)
+    assert outside > 0
+
+
+def test_overflowing_residuals_warn_nowhere_in_a_run():
+    # a loose v concentration draws component scales so small that (x - loc) / scale
+    # overflows; its -inf likelihood term is right, and the run stays silent
+    rng = np.random.default_rng(3)
+    data = Dataset(np.concatenate([rng.normal(-8.0, 2.0, 30), rng.normal(-0.5, 1.0, 20)]))
+    config = RunConfig(iterations=300, burn_in=0, seed=1, proposal=1, init_scales={"v": 1e-2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = mwg_gaussian_k2(data, PriorSpec(), config).chains[0]
+    assert np.isfinite(chain.log_posterior).all()
 
 
 def _draw(chain, t):
