@@ -203,15 +203,25 @@ def _density_grid(pooled) -> np.ndarray:
     return np.linspace(lo, hi, 512)
 
 
-def _write_summary(pooled, out_dir: Path) -> tuple[Path, Path]:
-    """Write ``summary.json`` (strict JSON) and ``density.csv``; return both paths."""
-    summary_path = out_dir / "summary.json"
+def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
+    """Write ``summary.json`` (strict JSON) and ``density.csv``.
+
+    Returns both paths and the wall time in seconds of the summary (MAP
+    relabelling, switch detection, k-means and the tables) and of the density.
+    """
+    clock = time.perf_counter
+    start = clock()
     summary = _summary_payload(pooled)
+    summary_s = clock() - start
+    summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
-    density_path = out_dir / "density.csv"
+    start = clock()
     grid = _density_grid(pooled)
-    write_table(density_path, [("x", grid), ("density", density_curve(pooled, grid))])
-    return summary_path, density_path
+    density = density_curve(pooled, grid)
+    density_s = clock() - start
+    density_path = out_dir / "density.csv"
+    write_table(density_path, [("x", grid), ("density", density)])
+    return [summary_path, density_path], {"summary_s": summary_s, "density_s": density_s}
 
 
 def cmd_fit(args) -> int:
@@ -234,13 +244,15 @@ def cmd_fit(args) -> int:
     result = runner(data, prior)
     wall = time.perf_counter() - start
 
+    start = time.perf_counter()
     chain_paths = []
     for i, chain in enumerate(result.chains):
         path = out_dir / f"chain_{i}.csv"
         chain_to_csv(chain, path)
         chain_paths.append(str(path))
+    write_s = time.perf_counter() - start
 
-    summary_paths = _write_summary(pool_draws(result.chains), out_dir)
+    summary_paths, summary_timings = _write_summary(pool_draws(result.chains), out_dir)
 
     psrf = {}
     if config.n_chains >= 2:
@@ -259,6 +271,7 @@ def cmd_fit(args) -> int:
             "run": dataclasses.asdict(config),
         },
         "wall_clock_s": wall,
+        "timings": {"sample_s": wall, "write_s": write_s, **summary_timings},
         "n_observations": data.n,
         "chains": [
             {

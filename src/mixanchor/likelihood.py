@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import transforms
 from .params import (
@@ -85,10 +84,17 @@ class Dataset:
 
     @cached_property
     def _count_summary(self):
-        # collapse repeated counts once; Poisson/exponential likelihoods are
+        # collapse repeated values once; Poisson/exponential likelihoods are
         # then linear in the distinct values
         uniq, counts = np.unique(self.values, return_counts=True)
-        return uniq, counts.astype(float), gammaln(uniq + 1.0)
+        return uniq, counts.astype(float)
+
+    @cached_property
+    def _log_factorials(self) -> np.ndarray:
+        """``log(x!)`` of each distinct value, for the Poisson likelihood only."""
+        from scipy.special import gammaln  # slow to import; exponential and Gaussian fits skip it
+
+        return gammaln(self._count_summary[0] + 1.0)
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -229,7 +235,8 @@ def loglik_poisson_arrays(
 ) -> float:
     if (rates <= 0).any() or (weights < 0).any():
         return -math.inf
-    uniq, counts, lgam = data._count_summary
+    uniq, counts = data._count_summary
+    lgam = data._log_factorials
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     log_terms = (
@@ -252,7 +259,7 @@ def loglik_exponential_arrays(
 ) -> float:
     if (means <= 0).any() or (weights < 0).any():
         return -math.inf
-    uniq, counts, _ = data._count_summary
+    uniq, counts = data._count_summary
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     log_terms = (log_w - np.log(means))[:, None] - uniq[None, :] / means[:, None]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .priors import PriorSpec
 
@@ -91,6 +90,8 @@ def gaussian_pair_closed(
     value is bounded by ``p_i p_j / |x1 - x2|``, which is what makes the
     full marginal finite once the priors on the compact block are proper.
     """
+    from scipy.special import ndtr  # slow to import; kept off the CLI's start-up
+
     _check_pair_args(ti, tj, x1, x2)
     dx = x1 - x2
     s = math.hypot(ti, tj)
@@ -218,6 +219,8 @@ def marginal_one_obs_mc(
             raise ValueError("poisson checks need a strictly positive integer count")
     elif x1 <= 0:
         raise ValueError("exponential checks need a strictly positive observation")
+    from scipy.special import gammaln  # slow to import; kept off the CLI's start-up
+
     spec = prior_spec or PriorSpec()
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.full(k, spec.alpha0), size=n_mc)

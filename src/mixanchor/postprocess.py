@@ -156,6 +156,138 @@ def _component_points(locs, scales, weights) -> np.ndarray:
     return np.stack(blocks + [weights], axis=-1)
 
 
+# why a problem has no solution, by the code `_solve_assignments` gives it
+_INVALID, _INFEASIBLE = 1, 2
+_FAILURES = {
+    _INVALID: "its distances to the MAP draw include NaN or -inf",
+    _INFEASIBLE: "every matching of its components to the MAP draw's is infinitely far",
+}
+
+
+def _solve_assignments(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment of every (k, k) problem in ``cost`` (T, k, k).
+
+    Returns the (T, k) integer array whose row t gives, for each row i of
+    ``cost[t]``, the column assigned to it.  This is the shortest augmenting
+    path method of Crouse (2016), "On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 52(4), run on all T problems at once: rows are
+    added one at a time, and each addition runs a Dijkstra search over
+    reduced costs from the new row to a free column, for every problem still
+    searching.  It makes the choices of ``scipy.optimize.linear_sum_assignment``
+    for square matrices, ties included: unvisited columns are scanned in an
+    order that starts reversed and takes a visited column's place by the
+    last one, a tie for the lowest path cost goes to the last free column in
+    that order (else the first column), and the potentials are updated with
+    the same floating-point operations.
+
+    Raises ``ValueError`` naming the first problem that holds a NaN or -inf
+    cost, or that has no assignment of finite cost; +inf entries are allowed.
+    """
+    T, k = cost.shape[0], cost.shape[1]
+    failure = np.where(np.any(np.isnan(cost) | (cost == -np.inf), axis=(1, 2)), _INVALID, 0)
+    # problems run along the last axis: (k, T) arrays keep every reduction over
+    # columns an elementwise operation across k contiguous rows
+    rows_of = np.ascontiguousarray(cost, dtype=float).reshape(T * k, k)
+    u = np.zeros((k, T))
+    v = np.zeros((k, T))
+    col4row = np.full((k, T), -1, dtype=np.intp)
+    row4col = np.full((k, T), -1, dtype=np.intp)
+    alive = np.flatnonzero(failure == 0)
+    cols = np.arange(k)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for cur in range(k):
+            n = len(alive)
+            uu, vv, c4r, r4c = u[:, alive], v[:, alive], col4row[:, alive], row4col[:, alive]
+            # what each problem's search leaves: the path cost of every visited
+            # column (NaN elsewhere), predecessor rows, minVal and the free column
+            out_seen = np.empty((k, n))
+            out_path = np.empty((k, n), dtype=np.intp)
+            out_min = np.empty(n)
+            out_sink = np.empty(n, dtype=np.intp)
+            # the search state of the problems still searching, at local
+            # positions `at`; `spc` is NaN at visited columns, which keeps them
+            # out of the relaxation (NaN stays NaN) and of the minimum
+            at = np.arange(n)
+            row = np.full(n, cur, dtype=np.intp)
+            min_val = np.zeros(n)
+            spc = np.full((k, n), np.inf)
+            seen = np.full((k, n), np.nan)
+            path = np.full((k, n), -1, dtype=np.intp)
+            reduced = np.empty((k, n))
+            vvs = vv
+            free = r4c < 0
+            # scan order: column j sits at position pos[j] of `remaining`; among
+            # tied columns the free one furthest along wins, else the first one:
+            # that is the column with the largest `score`, whose remainder mod k
+            # is the column itself
+            remaining = np.repeat(cols[::-1], n, axis=1)
+            pos = np.repeat(k - 1 - cols, n, axis=1)
+            score = np.where(free, k + pos, k - 1 - pos) * k + cols + 1
+            step = 0
+            while len(at):
+                idx = np.arange(len(at))
+                np.add(min_val, np.take(rows_of, alive[at] * k + row, axis=0).T, out=reduced)
+                reduced -= uu[row, at]
+                reduced -= vvs
+                better = reduced < spc
+                np.minimum(spc, reduced, out=spc)
+                path = np.where(better, row, path)
+                lowest = spc == np.fmin.reduce(spc, axis=0)
+                col = ((score * lowest).max(axis=0) - 1) % k
+                min_val = spc[col, idx]
+                seen[col, idx] = min_val
+                spc[col, idx] = np.nan
+                p = pos[col, idx]
+                last = remaining[k - 1 - step]
+                remaining[p, idx] = last
+                pos[last, idx] = p
+                score[last, idx] = np.where(free[last, idx], k + p, k - 1 - p) * k + last + 1
+                done = free[col, idx] | (min_val == np.inf)
+                if done.any():
+                    where = at[done]
+                    out_seen[:, where] = seen[:, done]
+                    out_path[:, where] = path[:, done]
+                    out_min[where] = min_val[done]
+                    out_sink[where] = col[done]
+                    keep = np.flatnonzero(~done)
+                    at, min_val, col = at[keep], min_val[keep], col[keep]
+                    spc, seen, path, vvs, free, remaining, pos, score = (
+                        a.take(keep, axis=1)
+                        for a in (spc, seen, path, vvs, free, remaining, pos, score)
+                    )
+                    reduced = np.empty((k, len(keep)))
+                row = r4c[col, at]
+                step += 1
+
+            ok = out_min != np.inf
+            failure[alive[~ok]] = _INFEASIBLE
+            # dual update: u[cur] += minVal, u[i] += minVal - spc[col4row[i]] on the
+            # other rows the search passed through, v[j] -= minVal - spc[j] on the
+            # visited columns
+            uu[cur] += out_min
+            passed = np.take_along_axis(out_seen, c4r, axis=0)
+            uu = np.where((c4r >= 0) & ~np.isnan(passed), uu + (out_min - passed), uu)
+            vv = np.where(np.isnan(out_seen), vv, vv - (out_min - out_seen))
+            # augment along the path from the free column back to row `cur`
+            at = np.flatnonzero(ok)
+            col = out_sink[at]
+            while len(at):
+                prev = out_path[col, at]
+                r4c[col, at] = prev
+                displaced = c4r[prev, at]
+                c4r[prev, at] = col
+                back = prev != cur
+                at, col = at[back], displaced[back]
+            u[:, alive], v[:, alive], col4row[:, alive], row4col[:, alive] = uu, vv, c4r, r4c
+            alive = alive[ok]
+    failed = np.flatnonzero(failure)
+    if len(failed):
+        t = int(failed[0])
+        raise ValueError(f"cannot relabel pooled draw {t}: {_FAILURES[failure[t]]}; "
+                         "check the chain for non-finite or huge values")
+    return np.ascontiguousarray(col4row.T)
+
+
 def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
     """Permute each draw to minimise its distance to the reference draw.
 
@@ -163,11 +295,11 @@ def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, Permutat
     weight)`` points (``(loc, weight)`` for rate families), without
     standardisation.  It splits over components, so each draw's best
     permutation solves a k x k linear assignment problem, which is solved
-    exactly for any k.  Ties between equally distant permutations are broken
-    deterministically by the solver.
+    exactly for any k by ``_solve_assignments``.  Ties between equally distant
+    permutations are broken deterministically, as scipy's
+    ``linear_sum_assignment`` breaks them.  Raises ``ValueError`` naming the
+    first draw whose distances are NaN or all matchings infinite.
     """
-    from scipy.optimize import linear_sum_assignment  # slow to import; only relabelling needs it
-
     dm = _coerce(draws)
     points = _component_points(dm.locs, dm.scales, dm.weights)  # (T, k, B)
     ref = _component_points(
@@ -178,8 +310,7 @@ def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, Permutat
     diff = points[:, None, :, :] - ref[None, :, None, :]
     # cost[t, i, j]: squared distance from original component j to reference component i
     cost = np.einsum("tijb,tijb->tij", diff, diff)
-    r = np.array([linear_sum_assignment(c)[1] for c in cost], dtype=np.int64)
-    trace = PermutationTrace(r=r.reshape(len(dm), dm.k))
+    trace = PermutationTrace(r=_solve_assignments(cost))
 
     rows = np.arange(len(dm))[:, None]
     relabelled = replace(

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr
 
 from .params import (
     AngularCoords,
@@ -178,11 +177,16 @@ def sample_prior(spec: PriorSpec, k: int, family: str, n_draws: int, seed=0):
     )
 
 
+def _betaln(a: float, b: float) -> float:
+    """``log B(a, b)`` from ``math.lgamma``."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _log_dirichlet(x: np.ndarray, alpha: float) -> float:
     k = len(x)
     if (x < MIN_WEIGHT).any():
         return -math.inf
-    norm = gammaln(k * alpha) - k * gammaln(alpha)
+    norm = math.lgamma(k * alpha) - k * math.lgamma(alpha)
     return float(norm + (alpha - 1.0) * np.sum(np.log(x)))
 
 
@@ -191,7 +195,7 @@ def _log_beta(x: float, a: float, b: float) -> float:
         # the density itself may be finite at the endpoints for unit shapes,
         # but the transforms degenerate there, so treat them as unsupported
         return -math.inf
-    return float((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b))
+    return float((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _betaln(a, b))
 
 
 def log_xi_density(spec: PriorSpec, xi: np.ndarray, k: int) -> float:
@@ -211,7 +215,7 @@ def log_xi_density(spec: PriorSpec, xi: np.ndarray, k: int) -> float:
         return -math.inf
     exponents = 2.0 * (m - 1 - np.arange(m)) + 1.0
     return float(
-        gammaln(k) + m * math.log(2.0) + np.sum(exponents * np.log(s)) + np.sum(np.log(c))
+        math.lgamma(k) + m * math.log(2.0) + np.sum(exponents * np.log(s)) + np.sum(np.log(c))
     )
 
 
@@ -291,6 +295,8 @@ def mixture_normal_quantiles(
     abscissa bracket is below ``tol``.  The bracket relies on every mixture
     having mean 0 and variance 1, for which a Chebyshev bound applies.
     """
+    from scipy.special import ndtr  # slow to import; only the quantile study needs it
+
     levels = np.atleast_1d(np.asarray(quantile_levels, dtype=float))
     if np.any(levels <= 0) or np.any(levels >= 1):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")

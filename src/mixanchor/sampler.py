@@ -33,7 +33,6 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .likelihood import (
     Dataset,
@@ -41,7 +40,7 @@ from .likelihood import (
     _rate_logpost,
     loglik_gaussian_arrays,
 )
-from .priors import PriorSpec, _log_beta, _log_dirichlet, sample_prior, sample_varpi
+from .priors import PriorSpec, _betaln, _log_beta, _log_dirichlet, sample_prior, sample_varpi
 # not called here: the layer tracer of ``bench/spans.py`` wraps it under this name
 from .transforms import standard_arrays_from_angular  # noqa: F401
 
@@ -200,21 +199,22 @@ class RunResult:
 def _log_beta_pdf(x: float, a: float, b: float) -> float:
     if not 0.0 < x < 1.0:
         return -math.inf
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
+    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _betaln(a, b)
 
 
 def _log_dirichlet_pdf(x: np.ndarray, alpha: np.ndarray) -> float:
     if (x <= 0.0).any():
         return -math.inf
     return float(
-        gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ np.log(x)
+        math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha.tolist()))
+        + (alpha - 1.0) @ np.log(x)
     )
 
 
 def _log_invgamma_pdf(x: float, shape: float, scale: float) -> float:
     if x <= 0.0:
         return -math.inf
-    return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * math.log(x) - scale / x
+    return shape * math.log(scale) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - scale / x
 
 
 def _mh_step(rng, state, lp, proposal, target):

@@ -115,6 +115,24 @@ class TestFit:
         assert set(summary["map_relabelled"]["switching"]) == {
             "distinct_permutations", "transitions", "longest_constant_run"}
 
+    def test_manifest_times_each_stage(self, gaussian_config, tmp_path):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "40",
+              "--seed", "5", "--out", str(data)])
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(gaussian_config), "--data", str(data),
+                     "--iters", "200", "--burnin", "50", "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        timings = manifest["timings"]
+        assert set(timings) == {"sample_s", "write_s", "summary_s", "density_s"}
+        for value in timings.values():
+            assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+        assert timings["sample_s"] == manifest["wall_clock_s"]
+
     def test_single_observation_refused_with_propriety_message(self, gaussian_config, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("value\n1.5\n")
@@ -412,6 +430,33 @@ class TestPriorSampleAndSummarize:
         assert recreated == original
         assert (summ / "density.csv").read_bytes() == (run / "density.csv").read_bytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e200"])
+    def test_summarize_refuses_unrelabellable_draws(self, gaussian_config, tmp_path, bad):
+        # a non-finite or huge location makes the draw's matching cost NaN or
+        # infinite; summarize exits 2 naming the pooled draw, without a traceback
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "40",
+              "--seed", "9", "--out", str(data)])
+        run = tmp_path / "run"
+        main(["fit", "--config", str(gaussian_config), "--data", str(data), "--iters", "200",
+              "--burnin", "50", "--chains", "1", "--out", str(run)])
+        rows = read_rows(run / "chain_0.csv")
+        column = rows[0].index("loc1")
+        lp = rows[0].index("log_posterior")
+        target = min(range(51, len(rows)), key=lambda i: float(rows[i][lp]))
+        rows[target][column] = bad
+        broken = tmp_path / "broken.csv"
+        broken.write_text("".join(",".join(row) + "\n" for row in rows))
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "mixanchor.cli", "summarize", "--data", str(broken),
+             "--family", "gaussian", "--burnin", "50", "--out", str(tmp_path / "s")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert f"cannot relabel pooled draw {target - 51}:" in out.stderr
+
 
 class TestOracleCheck:
     def test_default_suite_passes(self, tmp_path, capsys):
@@ -427,10 +472,10 @@ class TestOracleCheck:
         }
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_cli_import_leaves_slow_scipy_modules_unloaded(module):
-    # scipy.stats costs about 0.6 s and 25 MB at every CLI start, scipy.optimize about
-    # 0.2 s; commands that never relabel should not pay for scipy.optimize
+    # scipy.stats costs about 0.6 s and 25 MB at every CLI start, scipy.optimize
+    # and scipy.special together about 0.45 s
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
@@ -438,3 +483,28 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(module):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_gaussian_and_exponential_fits_and_summarize_load_no_scipy(tmp_path):
+    # relabelling runs its own assignment solver and the proposal and prior
+    # densities use math.lgamma, so these commands never import scipy
+    gauss, expo = tmp_path / "g.csv", tmp_path / "e.csv"
+    gauss.write_text("value\n" + "".join(f"{v}\n" for v in (-4.1, -3.2, 0.3, 1.1, 9.8, 10.4)))
+    expo.write_text("value\n" + "".join(f"{v}\n" for v in (0.2, 0.9, 1.3, 4.0, 6.5, 7.1)))
+    common = ["--iters", "120", "--burnin", "20", "--chains", "2", "--seed", "3"]
+    g, e = str(tmp_path / "g"), str(tmp_path / "e")
+    runs = [
+        ["fit", "--family", "gaussian", "--k", "3", "--data", str(gauss), "--out", g, *common],
+        ["fit", "--family", "exponential", "--k", "2", "--data", str(expo), "--out", e, *common],
+        ["summarize", "--data", f"{g}/chain_0.csv", f"{g}/chain_1.csv",
+         "--manifest", f"{g}/manifest.json", "--out", str(tmp_path / "s")],
+    ]
+    script = (
+        "import json, sys\nfrom mixanchor.cli import main\n"
+        f"codes = [main(argv) for argv in json.loads({json.dumps(runs)!r})]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0] []"

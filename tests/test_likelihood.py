@@ -186,6 +186,16 @@ class TestExponential:
         with pytest.raises(ValueError, match="positive"):
             loglik_exponential(Dataset([0.0, 1.0]), r)
 
+    def test_log_factorials_only_on_the_poisson_path(self):
+        # exponential data never use log(x!); only a Poisson likelihood computes them
+        r = PoissonReparam(lam=2.0, gamma=[0.4, 0.6], weights=[0.4, 0.6])
+        data = Dataset([1.0, 3.0, 3.0, 7.0])
+        loglik_exponential(data, r)
+        assert "_log_factorials" not in vars(data)
+        loglik_poisson(data, r)
+        assert vars(data)["_log_factorials"] == pytest.approx([0.0, math.log(6.0), math.log(5040.0)],
+                                                             rel=1e-15, abs=1e-15)
+
 
 class TestLogPosterior:
     SPEC = PriorSpec()

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,20 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixanchor import StandardParams
+from mixanchor.chainio import chain_from_csv
+from mixanchor.likelihood import Dataset
 from mixanchor.postprocess import (
     DrawMatrix,
     PermutationTrace,
     _d2_seeds,
     _lloyd,
+    _solve_assignments,
     density_curve,
     detect_switching,
     find_map,
     kmeans,
     kmeans_summary,
     mcse_mean,
+    pool_draws,
     relabel_map,
     summarise,
 )
+from mixanchor.priors import PriorSpec
+from mixanchor.sampler import RunConfig, mwg_exponential, mwg_gaussian, mwg_gaussian_k2
 
 
 def make_draws(locs, scales=None, weights=None, logpost=None, family="gaussian"):
@@ -294,6 +303,131 @@ def test_relabelling_breaks_weight_exchangeability(example3_run):
     for loc, weight in zip(loc_means, weight_means):
         target = truth[min(truth, key=lambda t: abs(t - loc))]
         assert abs(weight - target) < 0.05
+
+
+# --------------------------------------------------------------------------
+# the batched assignment solver against scipy's linear_sum_assignment
+
+
+def _scipy_assignments(cost):
+    from scipy.optimize import linear_sum_assignment
+
+    return np.array([linear_sum_assignment(c)[1] for c in cost], dtype=np.int64).reshape(
+        cost.shape[:2]
+    )
+
+
+def _cost_batch(kind, T, k, rng):
+    """(T, k, k) costs of one kind; every kind keeps each problem feasible."""
+    if kind == "normal":
+        return rng.normal(size=(T, k, k))
+    if kind == "small_int":  # many ties
+        return rng.integers(0, 3, size=(T, k, k)).astype(float)
+    if kind == "constant":
+        return np.full((T, k, k), float(rng.integers(0, 3)))
+    if kind == "duplicated":  # equal components: two or more identical columns
+        cost = rng.integers(0, 4, size=(T, k, k)).astype(float)
+        cost[:, :, : (k + 1) // 2] = cost[:, :, :1]
+        return cost
+    # "inf": +inf entries off one random permutation, which stays finite
+    cost = rng.integers(0, 3, size=(T, k, k)).astype(float)
+    blocked = rng.random((T, k, k)) < 0.4
+    for t in range(T):
+        blocked[t, np.arange(k), rng.permutation(k)] = False
+    cost[blocked] = np.inf
+    return cost
+
+
+KINDS = ["normal", "small_int", "constant", "duplicated", "inf"]
+
+
+class TestAssignmentSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 9), T=st.integers(1, 40), kind=st.sampled_from(KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_choices(self, k, T, kind, seed):
+        cost = _cost_batch(kind, T, k, np.random.default_rng(seed))
+        np.testing.assert_array_equal(_solve_assignments(cost), _scipy_assignments(cost))
+
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_matches_scipy_at_larger_k(self, k):
+        rng = np.random.default_rng(k)
+        for kind in KINDS:
+            cost = _cost_batch(kind, 200, k, rng)
+            np.testing.assert_array_equal(_solve_assignments(cost), _scipy_assignments(cost))
+
+    def test_empty_batch(self):
+        assert _solve_assignments(np.zeros((0, 3, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "NaN or -inf"),
+        (-np.inf, "NaN or -inf"),
+        ("row", "infinitely far"),
+        ("column", "infinitely far"),
+    ])
+    def test_failure_names_the_first_failing_draw(self, bad, message):
+        rng = np.random.default_rng(3)
+        cost = rng.random((10, 4, 4))
+        for t in (7, 4):  # draws 4 and 7 fail; the message names 4
+            if bad == "row":
+                cost[t, 2] = np.inf
+            elif bad == "column":
+                cost[t, :, 1] = np.inf
+            else:
+                cost[t, 1, 3] = bad
+        with pytest.raises(ValueError, match=f"pooled draw 4: .*{message}"):
+            _solve_assignments(cost)
+        from scipy.optimize import linear_sum_assignment
+
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost[4])
+
+    def test_infeasible_without_an_infinite_row_or_column(self):
+        # rows 0 and 1 can only use column 0: no row or column is all +inf,
+        # yet no assignment is finite
+        cost = np.full((2, 3, 3), 1.0)
+        cost[1, :2, 1:] = np.inf
+        with pytest.raises(ValueError, match="pooled draw 1: .*infinitely far"):
+            _solve_assignments(cost)
+
+
+def _workload_draws():
+    """Pooled post-burn-in draws of the four benchmark workloads at seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    pooled = {}
+    for name, w in workloads.WORKLOADS.items():
+        if not w.is_fit:
+            with tempfile.TemporaryDirectory() as tmp:
+                workloads.make_k5_chains(Path(tmp), [1, 0])
+                chains = [chain_from_csv(p, family="gaussian", burn_in=0)
+                          for p in sorted(Path(tmp).glob("chain_*.csv"))]
+            pooled[name] = pool_draws(chains)
+            continue
+        data = Dataset(workloads.make_data(w, 1))
+        config = RunConfig(iterations=w.iterations, burn_in=w.burn_in, n_chains=w.chains,
+                           seed=1, proposal=w.proposal or 1)
+        if w.family == "exponential":
+            result = mwg_exponential(data, w.k, PriorSpec(), config)
+        elif w.proposal is not None:
+            result = mwg_gaussian_k2(data, PriorSpec(), config)
+        else:
+            result = mwg_gaussian(data, w.k, PriorSpec(), config)
+        pooled[name] = pool_draws(result.chains)
+    return pooled
+
+
+def test_relabel_trace_matches_the_per_draw_scipy_loop_on_workload_inputs():
+    for name, dm in _workload_draws().items():
+        map_params, _ = find_map(dm)
+        _, trace = relabel_map(dm, map_params)
+        points = np.stack([dm.locs] + ([] if dm.scales is None else [dm.scales]) + [dm.weights], -1)
+        ref = np.stack([map_params.locs] + ([] if dm.scales is None else [map_params.scales])
+                       + [map_params.weights], -1)
+        cost = np.einsum("tijb,tijb->tij", points[:, None] - ref[None, :, None],
+                         points[:, None] - ref[None, :, None])
+        np.testing.assert_array_equal(trace.r, _scipy_assignments(cost), err_msg=name)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
 from mixanchor import GaussianState, GlobalMoments, mixture_moments, standard_from_angular
+from mixanchor.params import MIN_WEIGHT
 from mixanchor.priors import (
     PriorSpec,
+    _log_beta,
+    _log_dirichlet,
     log_prior,
     log_varpi_density,
     log_xi_density,
@@ -86,6 +92,39 @@ class TestSamplePrior:
         assert draws.gamma.shape == (500, 4)
         np.testing.assert_allclose(draws.gamma.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(draws.weights.sum(axis=1), 1.0, atol=1e-12)
+
+
+def close_to_scipy(value, reference, *log_gamma_terms):
+    """Within 1e-13 relative to the largest of |reference|, its log-gamma terms and 1."""
+    scale = max(1.0, abs(reference), *(abs(t) for t in log_gamma_terms))
+    return abs(value - reference) <= 1e-13 * scale
+
+
+class TestLgammaFactors:
+    """The prior factors, built on math.lgamma, against scipy."""
+
+    @given(x=st.floats(1e-9, 1.0 - 1e-9), a=st.floats(1e-3, 1e4), b=st.floats(1e-3, 1e4))
+    def test_beta(self, x, a, b):
+        reference = float(stats.beta.logpdf(x, a, b))
+        assert close_to_scipy(_log_beta(x, a, b), reference, gammaln(a + b),
+                              (a - 1.0) * math.log(x), (b - 1.0) * math.log1p(-x))
+
+    @given(k=st.integers(2, 9), alpha=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+    def test_dirichlet(self, k, alpha, seed):
+        x = np.random.default_rng(seed).dirichlet(np.ones(k))
+        x = np.maximum(x, 2 * MIN_WEIGHT) / np.maximum(x, 2 * MIN_WEIGHT).sum()
+        reference = float(gammaln(k * alpha) - k * gammaln(alpha)
+                          + (alpha - 1.0) * np.sum(np.log(x)))
+        assert close_to_scipy(_log_dirichlet(x, alpha), reference, gammaln(k * alpha))
+
+    @given(k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_single_uniform_xi(self, k, seed):
+        xi = np.random.default_rng(seed).uniform(1e-3, math.pi / 2 - 1e-3, k - 1)
+        m = k - 1
+        exponents = 2.0 * (m - 1 - np.arange(m)) + 1.0
+        reference = float(gammaln(k) + m * math.log(2.0) + np.sum(exponents * np.log(np.sin(xi)))
+                          + np.sum(np.log(np.cos(xi))))
+        assert close_to_scipy(log_xi_density(SINGLE, xi, k), reference)
 
 
 class TestLogPrior:

@@ -29,6 +29,9 @@ from mixanchor.sampler import (
     _dirichlet_proposal,
     _invgamma_proposal,
     _invgamma_sigma_proposal,
+    _log_beta_pdf,
+    _log_dirichlet_pdf,
+    _log_invgamma_pdf,
     _log_walk,
     _logit_walk,
     _mh_step,
@@ -169,6 +172,49 @@ class TestAdaptScales:
         )
         assert _bits(scales) == _bits(reference)
         assert scales["mu"] == math.exp(0.005)
+
+
+def close_to_scipy(value, reference, *log_gamma_terms):
+    """Within 1e-13 relative to the largest of |reference|, its log-gamma terms and 1.
+
+    ``math.lgamma`` and scipy's ``gammaln`` differ in the last bits, so a density
+    whose log-gamma terms nearly cancel can only match to their size.
+    """
+    scale = max(1.0, abs(reference), *(abs(t) for t in log_gamma_terms))
+    return abs(value - reference) <= 1e-13 * scale
+
+
+SHAPES = st.floats(1e-3, 1e4)
+
+
+class TestLgammaDensities:
+    """The proposal densities, built on math.lgamma, against scipy.special."""
+
+    @given(x=st.floats(1e-9, 1.0 - 1e-9), a=SHAPES, b=SHAPES)
+    def test_beta(self, x, a, b):
+        from scipy.special import betaln, gammaln
+
+        reference = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
+        assert close_to_scipy(_log_beta_pdf(x, a, b), reference, gammaln(a + b))
+
+    @given(alpha=st.lists(st.floats(1e-2, 1e4), min_size=2, max_size=9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dirichlet(self, alpha, seed):
+        from scipy.special import gammaln
+
+        alpha = np.array(alpha)
+        x = np.random.default_rng(seed).dirichlet(np.ones(len(alpha)))
+        x = np.maximum(x, 1e-12) / np.maximum(x, 1e-12).sum()
+        reference = gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ np.log(x)
+        assert close_to_scipy(_log_dirichlet_pdf(x, alpha), reference, gammaln(alpha.sum()))
+
+    @given(x=st.floats(1e-3, 1e3), shape=st.floats(0.5, 1e4), scale=st.floats(1e-3, 1e3))
+    def test_inverse_gamma(self, x, shape, scale):
+        from scipy.special import gammaln
+
+        reference = float(stats.invgamma.logpdf(x, shape, scale=scale))
+        assert close_to_scipy(_log_invgamma_pdf(x, shape, scale), reference, gammaln(shape),
+                              shape * math.log(scale), (shape + 1.0) * math.log(x))
 
 
 class TestProposalCorrectness:
