@@ -43,9 +43,9 @@ def chain_to_csv(chain: Chain, path) -> None:
 def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     """Rebuild a chain from its CSV.
 
-    The family of a rate chain cannot be inferred from the columns alone
-    (``poisson`` and ``exponential`` share the schema); pass ``family``
-    explicitly or read it from the run manifest.
+    A chain with a ``mu`` column is Gaussian.  ``poisson`` and
+    ``exponential`` chains share one schema, so a rate chain read without
+    ``family`` is refused: pass it explicitly or read it from the run manifest.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
@@ -67,8 +67,10 @@ def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     if fields["weights"] is None or fields["locs"] is None:
         raise ValueError("chain CSV must carry weight and location columns")
     is_gaussian = fields["mu"] is not None
+    family = family or ("gaussian" if is_gaussian else None)
     if family is None:
-        family = "gaussian" if is_gaussian else "poisson"
+        raise ValueError(f"{path} holds a rate chain, poisson or exponential; "
+                         "name its family with --family or --manifest")
     if is_gaussian and fields["varpi"] is None:
         fields["varpi"] = np.zeros((len(rows), 0))
     accepts = {

@@ -40,21 +40,28 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+def _load_config(path) -> dict:
+    cfg = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
-def _prior_from_config(cfg: dict) -> PriorSpec:
-    prior = cfg.get("prior", {})
-    return PriorSpec(
-        kind=prior.get("kind", "double_uniform"),
-        alpha0=float(prior.get("alpha0", 1.0)),
-        phi_beta=tuple(prior.get("phi_beta", (1.0, 1.0))),
-        gamma_dirichlet_alpha=float(prior.get("gamma_dirichlet_alpha", 1.0)),
-    )
+def _section(cfg: dict, name: str, cls, **overrides):
+    """The config's ``name`` object with the non-``None`` flag ``overrides`` laid
+    over it, as a ``cls``, which holds the defaults and checks the values."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object, got {section!r}")
+    values = {**section, **{key: value for key, value in overrides.items() if value is not None}}
+    fields = dataclasses.fields(cls)
+    unknown = set(values) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown {name} options: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in values]
+    if missing:
+        raise ValueError(f"the {name} configuration must set {missing[0]!r}")
+    return cls(**values)
 
 
 def _component_count(cfg: dict, args, default=None) -> int:
@@ -63,28 +70,6 @@ def _component_count(cfg: dict, args, default=None) -> int:
     if type(k) is not int or k < 2:
         raise ValueError(f"{args.command} needs a component count k, an integer >= 2, got {k!r}")
     return k
-
-
-def _run_settings(cfg: dict, args) -> dict:
-    """The config's run section with the command-line flags laid over it."""
-    run = dict(cfg.get("run", {}))
-    if args.iters is not None:
-        run["iterations"] = args.iters
-    if args.burnin is not None:
-        run["burn_in"] = args.burnin
-    if args.chains is not None:
-        run["n_chains"] = args.chains
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if getattr(args, "proposal", None) is not None:
-        run["proposal"] = args.proposal
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(run) - known
-    if unknown:
-        raise ValueError(f"unknown run options: {sorted(unknown)}")
-    if "iterations" not in run:
-        raise ValueError("the run configuration must set 'iterations'")
-    return run
 
 
 def _read_data_csv(path) -> Dataset:
@@ -146,24 +131,19 @@ def cmd_simulate(args) -> int:
 # fit
 
 
-def _select_sampler(family: str, k: int, config: RunConfig, proposal_set: bool):
-    """Name and runner of the kernel; a k=2 Gaussian fit that sets a proposal
-    variant, by flag or config, runs the specialised two-component kernel,
-    and any other fit that sets one is refused."""
-    if proposal_set and (family, k) != ("gaussian", 2):
-        raise ValueError(
-            "run option 'proposal' selects the two-component Gaussian kernel; "
-            f"it applies only to a gaussian fit with k = 2, not {family} with k = {k}"
-        )
-    if family == "gaussian":
-        if k == 2 and proposal_set:
-            return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config)
-        return "gaussian", lambda data, spec: mwg_gaussian(data, k, spec, config)
-    if family == "poisson":
-        return "poisson", lambda data, spec: mwg_poisson(data, k, spec, config)
-    if family == "exponential":
-        return "exponential", lambda data, spec: mwg_exponential(data, k, spec, config)
-    raise ValueError(f"unknown family {family!r}")
+def _select_sampler(family: str, k: int, config: RunConfig):
+    """Name and runner of the kernel.  A ``config.proposal`` of 1 or 2, by flag
+    or config, runs the two-component Gaussian kernel and is refused for any
+    other fit; ``None`` runs the family's general kernel."""
+    if config.proposal is not None:
+        if (family, k) != ("gaussian", 2):
+            raise ValueError(
+                "run option 'proposal' selects the two-component Gaussian kernel; "
+                f"it applies only to a gaussian fit with k = 2, not {family} with k = {k}"
+            )
+        return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config)
+    kernels = {"gaussian": mwg_gaussian, "poisson": mwg_poisson, "exponential": mwg_exponential}
+    return family, lambda data, spec: kernels[family](data, k, spec, config)
 
 
 def _summary_payload(pooled) -> dict:
@@ -230,13 +210,13 @@ def cmd_fit(args) -> int:
     if family not in ("gaussian", "poisson", "exponential"):
         raise ValueError("fit needs a family (gaussian, poisson, exponential)")
     k = _component_count(cfg, args)
-    prior = _prior_from_config(cfg)
-    run = _run_settings(cfg, args)
-    config = RunConfig(**run)
+    prior = _section(cfg, "prior", PriorSpec)
+    config = _section(cfg, "run", RunConfig, iterations=args.iters, burn_in=args.burnin,
+                      n_chains=args.chains, seed=args.seed, proposal=args.proposal)
     data = _read_data_csv(args.data)
     data.check_family(family)
 
-    sampler_name, runner = _select_sampler(family, k, config, "proposal" in run)
+    sampler_name, runner = _select_sampler(family, k, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -300,9 +280,7 @@ def cmd_prior_sample(args) -> int:
     cfg = _load_config(args.config)
     family = args.family or cfg.get("family", "gaussian")
     k = _component_count(cfg, args, default=2)
-    prior = _prior_from_config(cfg)
-    if args.kind is not None:
-        prior = dataclasses.replace(prior, kind=args.kind)
+    prior = _section(cfg, "prior", PriorSpec, kind=args.kind)
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)

@@ -115,11 +115,14 @@ def pool_draws(items) -> DrawMatrix:
 
 
 def find_map(draws) -> tuple[StandardParams, int]:
-    """Draw with the highest stored log-posterior; ties go to the earliest."""
+    """Draw with the highest stored log-posterior, the earliest of ties; refused if not finite."""
     dm = _coerce(draws)
     if len(dm) == 0:
         raise ValueError("empty chain")
-    idx = int(np.argmax(dm.log_posterior))
+    idx = int(np.argmax(dm.log_posterior))  # the first NaN, if there is one
+    if not math.isfinite(dm.log_posterior[idx]):
+        raise ValueError(f"cannot pick the MAP draw: pooled draw {idx} has log_posterior "
+                         f"{dm.log_posterior[idx]}")
     return dm.params(idx), idx
 
 
@@ -492,7 +495,10 @@ class Summary:
         }
 
 
-def _stat_row(x: np.ndarray) -> dict:
+def _stat_row(name: str, x: np.ndarray) -> dict:
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise ValueError(f"cannot summarise column {name!r}: pooled draw {bad[0]} is {x[bad[0]]}")
     q025, median, q975 = np.percentile(x, [2.5, 50.0, 97.5])
     return {
         "mean": float(np.mean(x)),
@@ -505,19 +511,17 @@ def _stat_row(x: np.ndarray) -> dict:
 def summarise(draws) -> Summary:
     """Order-statistic summary of every column of a draw matrix.
 
-    Quantiles interpolate linearly between order statistics.
+    Quantiles interpolate linearly between order statistics; a non-finite value is refused.
     """
     dm = _coerce(draws)
     if len(dm) == 0:
         raise ValueError("empty chain")
-    stats = {}
-    for name, col in dm.extras.items():
-        stats[name] = _stat_row(col)
+    columns = list(dm.extras.items())
     for i in range(dm.k):
-        stats[f"p{i + 1}"] = _stat_row(dm.weights[:, i])
-        stats[f"loc{i + 1}"] = _stat_row(dm.locs[:, i])
+        columns += [(f"p{i + 1}", dm.weights[:, i]), (f"loc{i + 1}", dm.locs[:, i])]
         if dm.scales is not None:
-            stats[f"scale{i + 1}"] = _stat_row(dm.scales[:, i])
+            columns.append((f"scale{i + 1}", dm.scales[:, i]))
+    stats = {name: _stat_row(name, col) for name, col in columns}
     return Summary(stats=stats)
 
 

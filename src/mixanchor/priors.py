@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 PRIOR_KINDS = ("single_uniform", "double_uniform")
+MAX_HYPERPARAMETER = 1e280  # see PriorSpec
+
+
+def _hyperparameter(name: str, value):
+    if not ((type(value) is int or isinstance(value, float)) and 0 < value <= MAX_HYPERPARAMETER):
+        raise ValueError(f"prior option {name!r} must be a number in (0, 1e280], got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,11 @@ class PriorSpec:
     ``alpha0`` is the common Dirichlet hyperparameter on the weights,
     ``phi_beta`` the Beta pair on the squared radius, and
     ``gamma_dirichlet_alpha`` the common Dirichlet hyperparameter on the
-    rate-family simplex.  Defaults make every proper factor uniform.
+    rate-family simplex.  Defaults make every proper factor uniform.  Each
+    is a real number, not a bool, in (0, 1e280] (``MAX_HYPERPARAMETER``): for
+    any k < 2**63 every log-gamma argument stays below 1e299 and every
+    log-gamma term below 1e302.  ``phi_beta`` is kept as a tuple, so
+    ``asdict`` -> JSON -> ``PriorSpec`` round-trips.
     """
 
     kind: str = "double_uniform"
@@ -62,9 +73,12 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        a1, a2 = self.phi_beta
-        if min(self.alpha0, a1, a2, self.gamma_dirichlet_alpha) <= 0:
-            raise ValueError("all hyperparameters must be strictly positive")
+        pair = self.phi_beta
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError(f"prior option 'phi_beta' must be a pair, got {pair!r}")
+        object.__setattr__(self, "phi_beta", tuple(_hyperparameter("phi_beta", v) for v in pair))
+        for name in ("alpha0", "gamma_dirichlet_alpha"):
+            object.__setattr__(self, name, float(_hyperparameter(name, getattr(self, name))))
 
 
 @dataclass(frozen=True)

@@ -75,19 +75,20 @@ class RunConfig:
     n_chains: int = 1
     seed: int = 0
     adapt_horizon: int | None = None
-    proposal: int = 1
+    proposal: int | None = None  # the k = 2 Gaussian variant, 1 or 2; None chooses none
     init_scales: dict | None = None
 
     def __post_init__(self):
         for name in ("iterations", "burn_in", "n_chains", "seed", "adapt_horizon", "proposal"):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "adapt_horizon" and value is None):
+            optional = name in ("adapt_horizon", "proposal")
+            if type(value) is not int and not (optional and value is None):
                 raise ValueError(f"run option {name!r} must be an integer, got {value!r}")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("need iterations > burn_in >= 0")
         if self.n_chains < 1:
             raise ValueError("need at least one chain")
-        if self.proposal not in (1, 2):
+        if self.proposal not in (None, 1, 2):
             raise ValueError("run option 'proposal' must be 1 or 2")
         scales = {} if self.init_scales is None else self.init_scales
         if not isinstance(scales, dict) or not all(
@@ -582,13 +583,13 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
     ig_shape = (n + 1) / 2.0
     ig_scale = (n - 1) * svar / 2.0
     mu_scale = 2.0 * float(np.std(data.values, ddof=1)) / math.sqrt(n)
-    if config.proposal == 1:
+    if config.proposal == 2:
+        weight_proposal, simplex_proposal = _logit_walk, _simplex_log_ratio_walk
+        kind, scale = "width", 0.5
+    else:
         weight_proposal = partial(_beta_proposal, offset=0.0)
         simplex_proposal = partial(_dirichlet_proposal, offset=0.0)
         kind, scale = "concentration", float(n)
-    else:
-        weight_proposal, simplex_proposal = _logit_walk, _simplex_log_ratio_walk
-        kind, scale = "width", 0.5
 
     def init(rng):
         draws = sample_prior(prior_spec, 2, "gaussian", 1, rng)
@@ -641,11 +642,12 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
 def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
     """Two-component Gaussian sampler with the specialised proposals.
 
-    Variant 1 uses a Beta move on the weight and an offset-free Dirichlet
-    move on ``(phi_sq, eta1_sq, eta2_sq)``; variant 2 walks the logit weight
-    and the log-ratio simplex coordinates.  Both variants propose the
-    globals independently: the mean from a normal law at the sample mean,
-    the variance from an Inverse-Gamma law anchored at the sample variance.
+    Variant 1 (also ``config.proposal=None``) uses a Beta move on the weight
+    and an offset-free Dirichlet move on ``(phi_sq, eta1_sq, eta2_sq)``;
+    variant 2 walks the logit weight and the log-ratio simplex coordinates.
+    Both variants propose the globals independently: the mean from a normal
+    law at the sample mean, the variance from an Inverse-Gamma law anchored
+    at the sample variance.
     """
     return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config)
 

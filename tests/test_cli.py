@@ -46,6 +46,22 @@ def gaussian_config(tmp_path):
     return path
 
 
+# (id, config file contents, what the error must name); json.dumps writes
+# math.inf as Infinity, which json.load reads back
+MALFORMED_CONFIGS = [
+    ("unknown-key", {"prior": {"alpah0": 5}}, "unknown prior options: ['alpah0']"),
+    ("bool", {"prior": {"alpha0": True}}, "'alpha0'"),
+    ("nan-string", {"prior": {"alpha0": "nan"}}, "'alpha0'"),
+    ("infinity", {"prior": {"gamma_dirichlet_alpha": math.inf}}, "'gamma_dirichlet_alpha'"),
+    ("phi-beta-triple", {"prior": {"phi_beta": [1, 1, 1]}}, "'phi_beta'"),
+    ("phi-beta-string", {"prior": {"phi_beta": [1, "x"]}}, "'phi_beta'"),
+    ("1e307", {"prior": {"alpha0": 1e307}}, "'alpha0'"),
+    ("prior-string", {"prior": "double_uniform"}, "section 'prior'"),
+    ("run-list", {"run": [200, 50]}, "section 'run'"),
+    ("file-list", [{"run": {"iterations": 200}}], "must hold a JSON object"),
+]
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -218,6 +234,69 @@ class TestFit:
         table = readme.split("The `run` section accepts exactly these keys")[1].split("\n\n")[1]
         keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
         assert keys == [field.name for field in dataclasses.fields(RunConfig)]
+
+    def test_readme_lists_exactly_the_prior_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The `prior` section accepts exactly these keys")[1].split("\n\n")[1]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys == [field.name for field in dataclasses.fields(PriorSpec)]
+
+    @pytest.mark.parametrize("command, config, named", [
+        pytest.param(command, config, named, id=f"{command}-{name}")
+        for name, config, named in MALFORMED_CONFIGS
+        for command in ("fit", "prior-sample")
+        if command == "fit" or "run" not in config
+    ])
+    def test_malformed_config_refused_before_sampling(self, tmp_path, capsys, command, config,
+                                                       named):
+        # each of these was ignored, fitted, crashed with a traceback or exited 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        data = tmp_path / "data.csv"
+        data.write_text("value\n1.0\n2.5\n4.0\n")
+        out = tmp_path / "r"
+        if command == "fit":
+            argv = ["--data", str(data), "--iters", "200", "--burnin", "50", "--out", str(out)]
+        else:
+            argv = ["--n", "20", "--out", str(out / "prior.csv")]
+        code = main([command, *argv, "--config", str(path), "--family", "gaussian", "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, k, flags", [
+        ("gaussian", 3, []), ("gaussian", 2, []), ("gaussian", 2, ["--proposal", "2"]),
+        ("exponential", 2, []), ("poisson", 3, []),
+    ], ids=["gaussian-k3", "gaussian-k2-general", "gaussian-k2-proposal2", "exponential-k2",
+            "poisson-k3"])
+    def test_manifest_config_replays_its_fit(self, tmp_path, family, k, flags):
+        # the manifest's family, k and config, fed back as a config, rerun the
+        # same kernel with the same settings to the same bytes
+        rng = np.random.default_rng(5)
+        if family == "gaussian":
+            values = rng.normal([-4.0, 3.0, 10.0][:k], 1.0, size=(15, k)).ravel()
+        elif family == "poisson":
+            values = rng.poisson([2.0, 9.0, 20.0], size=(15, k)).ravel().astype(float)
+        else:
+            values = rng.exponential([1.0, 5.0], size=(20, k)).ravel()
+        data = tmp_path / "data.csv"
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["fit", "--family", family, "--k", str(k), "--iters", "300", "--burnin",
+                     "50", "--chains", "2", "--seed", "5", "--data", str(data),
+                     "--out", str(first), *flags]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(
+            {"family": manifest["family"], "k": manifest["k"], **manifest["config"]}))
+        assert main(["fit", "--config", str(replay), "--data", str(data),
+                     "--out", str(again)]) == 0
+        replayed = json.loads((again / "manifest.json").read_text())
+        assert replayed["sampler"] == manifest["sampler"]
+        assert replayed["config"] == manifest["config"]
+        for name in ("chain_0.csv", "chain_1.csv", "summary.json", "density.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_all_zero_poisson_refused(self, tmp_path, capsys):
         data = tmp_path / "zeros.csv"
@@ -456,6 +535,65 @@ class TestPriorSampleAndSummarize:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert f"cannot relabel pooled draw {target - 51}:" in out.stderr
+
+
+def _fit_one_chain(tmp_path, family):
+    """Fit one 200-sweep chain with burn-in 50; returns the run directory."""
+    rng = np.random.default_rng(9)
+    if family == "gaussian":
+        values = rng.normal([-8.0, -0.5], [2.0, 1.0], size=(20, 2)).ravel()
+    else:
+        values = rng.exponential([1.0, 5.0], size=(20, 2)).ravel()
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+    run = tmp_path / "run"
+    assert main(["fit", "--family", family, "--k", "2", "--data", str(data), "--iters", "200",
+                 "--burnin", "50", "--seed", "9", "--out", str(run)]) == 0
+    return run
+
+
+def _broken_copy(tmp_path, run, column, value):
+    """The run's chain with ``column`` set to ``value`` in iteration 99 (pooled draw 49)."""
+    rows = read_rows(run / "chain_0.csv")
+    rows[100][rows[0].index(column)] = value
+    broken = tmp_path / "broken.csv"
+    broken.write_text("".join(",".join(row) + "\n" for row in rows))
+    return broken
+
+
+class TestSummarizeRefusals:
+    def test_rate_chain_needs_its_family(self, tmp_path, capsys):
+        # a chain without a mu column used to be summarised as Poisson
+        run = _fit_one_chain(tmp_path, "exponential")
+        out = tmp_path / "s"
+        assert main(["summarize", "--data", str(run / "chain_0.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--family" in err and "--manifest" in err
+        assert main(["summarize", "--data", str(run / "chain_0.csv"), "--manifest",
+                     str(run / "manifest.json"), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["family"] == "exponential"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_log_posterior_is_not_the_map_draw(self, tmp_path, capsys, value):
+        # argmax took the first NaN as the MAP draw and relabelled toward it
+        broken = _broken_copy(tmp_path, _fit_one_chain(tmp_path, "gaussian"),
+                              "log_posterior", value)
+        code = main(["summarize", "--data", str(broken), "--family", "gaussian",
+                     "--burnin", "50", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert f"pooled draw 49 has log_posterior {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, column, value", [
+        ("gaussian", "mu", "nan"), ("gaussian", "sigma", "inf"), ("gaussian", "phi_sq", "nan"),
+        ("exponential", "lam", "nan"),
+    ])
+    def test_non_finite_global_column_named(self, tmp_path, capsys, family, column, value):
+        # these ended in json's "Out of range float values are not JSON compliant"
+        broken = _broken_copy(tmp_path, _fit_one_chain(tmp_path, family), column, value)
+        code = main(["summarize", "--data", str(broken), "--family", family,
+                     "--burnin", "50", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert f"column {column!r}: pooled draw 49 is {value}" in capsys.readouterr().err
 
 
 class TestOracleCheck:
