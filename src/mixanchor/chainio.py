@@ -53,6 +53,9 @@ def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     if not lines:
         raise ValueError(f"no draws in {path}")
     rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if type(burn_in) is not int or not 0 <= burn_in < len(rows):
+        raise ValueError(f"{path} holds {len(rows)} draws: the burn-in must be an integer "
+                         f"in [0, {len(rows)}), got {burn_in!r}")
     where = {name: i for i, name in enumerate(header)}
 
     def field(name, prefix):

@@ -22,6 +22,7 @@ from . import __version__
 from .chainio import CHAIN_FORMAT_VERSION, chain_from_csv, chain_to_csv, write_table
 from .likelihood import Dataset
 from .oracles import gaussian_pair_closed, gaussian_pair_quad, marginal_one_obs_mc, n1_divergence_probe
+from .params import FAMILIES, StandardParams
 from .postprocess import (
     density_curve,
     detect_switching,
@@ -47,12 +48,18 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str, cls, **overrides):
-    """The config's ``name`` object with the non-``None`` flag ``overrides`` laid
-    over it, as a ``cls``, which holds the defaults and checks the values."""
+def _object(cfg: dict, name: str) -> dict:
+    """The config's ``name`` entry, ``{}`` when absent; anything but a JSON object is refused."""
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a JSON object, got {section!r}")
+    return section
+
+
+def _section(cfg: dict, name: str, cls, **overrides):
+    """The config's ``name`` object with the non-``None`` flag ``overrides`` laid
+    over it, as a ``cls``, which holds the defaults and checks the values."""
+    section = _object(cfg, name)
     values = {**section, **{key: value for key, value in overrides.items() if value is not None}}
     fields = dataclasses.fields(cls)
     unknown = set(values) - {f.name for f in fields}
@@ -61,7 +68,10 @@ def _section(cfg: dict, name: str, cls, **overrides):
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in values]
     if missing:
         raise ValueError(f"the {name} configuration must set {missing[0]!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except TypeError as exc:  # numpy cannot read an object, or a list of them, as numbers
+        raise ValueError(f"{name} options: {exc}") from None
 
 
 def _component_count(cfg: dict, args, default=None) -> int:
@@ -103,26 +113,18 @@ def _read_data_csv(path) -> Dataset:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    model = cfg.get("model", {})
-    family = args.family or model.get("family") or cfg.get("family")
-    if family not in ("gaussian", "poisson", "exponential"):
-        raise ValueError("simulate needs a family (gaussian, poisson, exponential)")
-    weights = np.asarray(model["weights"], dtype=float)
-    locs = np.asarray(model["locs"], dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
-        raise ValueError("model weights must form a simplex")
+    family = args.family or _object(cfg, "model").get("family") or cfg.get("family")
+    model = _section(cfg, "model", StandardParams, family=family)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    n = args.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    comp = rng.choice(len(weights), size=n, p=weights)
-    if family == "gaussian":
-        scales = np.asarray(model["scales"], dtype=float)
-        values = rng.normal(locs[comp], scales[comp])
-    elif family == "poisson":
-        values = rng.poisson(locs[comp]).astype(float)
+    if args.n < 0:
+        raise ValueError(f"simulate needs --n >= 0, got {args.n}")
+    comp = rng.choice(model.k, size=args.n, p=model.weights)
+    if model.family == "gaussian":
+        values = rng.normal(model.locs[comp], model.scales[comp])
+    elif model.family == "poisson":
+        values = rng.poisson(model.locs[comp]).astype(float)
     else:
-        values = rng.exponential(locs[comp])
+        values = rng.exponential(model.locs[comp])
     write_table(args.out, [("value", values)])
     return EXIT_OK
 
@@ -207,14 +209,13 @@ def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     family = args.family or cfg.get("family")
-    if family not in ("gaussian", "poisson", "exponential"):
-        raise ValueError("fit needs a family (gaussian, poisson, exponential)")
+    if family not in FAMILIES:
+        raise ValueError(f"fit needs a family ({', '.join(FAMILIES)})")
     k = _component_count(cfg, args)
     prior = _section(cfg, "prior", PriorSpec)
     config = _section(cfg, "run", RunConfig, iterations=args.iters, burn_in=args.burnin,
                       n_chains=args.chains, seed=args.seed, proposal=args.proposal)
     data = _read_data_csv(args.data)
-    data.check_family(family)
 
     sampler_name, runner = _select_sampler(family, k, config)
     out_dir = Path(args.out)
@@ -281,6 +282,10 @@ def cmd_prior_sample(args) -> int:
     family = args.family or cfg.get("family", "gaussian")
     k = _component_count(cfg, args, default=2)
     prior = _section(cfg, "prior", PriorSpec, kind=args.kind)
+    if args.n < 0:
+        raise ValueError(f"prior-sample needs --n >= 0, got {args.n}")
+    if args.quantiles and family != "gaussian":
+        raise ValueError(f"--quantiles studies the gaussian prior only, not {family!r}")
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)
@@ -298,16 +303,15 @@ def cmd_prior_sample(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    family = args.family
-    burn_in = args.burnin if args.burnin is not None else 0
+    family, burn_in = args.family, args.burnin
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        family = family or manifest["family"]
-        if args.burnin is None:
-            burn_in = manifest["config"]["run"]["burn_in"]
+        manifest = _load_config(args.manifest)
+        family = family or manifest.get("family")
+        if burn_in is None:
+            burn_in = _section(_object(manifest, "config"), "run", RunConfig).burn_in
     if not args.data:
         raise ValueError("summarize needs at least one chain CSV via --data")
-    chains = [chain_from_csv(path, family=family, burn_in=burn_in) for path in args.data]
+    chains = [chain_from_csv(path, family=family, burn_in=burn_in or 0) for path in args.data]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_summary(pool_draws(chains), out_dir)
@@ -367,7 +371,7 @@ def cmd_oracle_check(args) -> int:
     }
 
     payload = {"all_pass": all(c["pass"] for c in checks.values()), "checks": checks}
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     print(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -388,9 +392,7 @@ def _add_common(parser, *names):
     if "seed" in names:
         parser.add_argument("--seed", type=int, default=None)
     if "family" in names:
-        parser.add_argument(
-            "--family", choices=("gaussian", "poisson", "exponential"), default=None
-        )
+        parser.add_argument("--family", choices=FAMILIES, default=None)
     if "k" in names:
         parser.add_argument("--k", type=int, default=None)
 
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("--data", nargs="+", help="chain CSV files")
     summ.add_argument("--manifest", help="run manifest to read family and burn-in from")
     summ.add_argument("--out", required=True)
-    summ.add_argument("--family", choices=("gaussian", "poisson", "exponential"))
+    summ.add_argument("--family", choices=FAMILIES)
     summ.add_argument("--burnin", type=int, default=None)
     summ.set_defaults(func=cmd_summarize)
 
@@ -445,7 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, ArithmeticError, OverflowError) as exc:

@@ -219,6 +219,8 @@ def marginal_one_obs_mc(
             raise ValueError("poisson checks need a strictly positive integer count")
     elif x1 <= 0:
         raise ValueError("exponential checks need a strictly positive observation")
+    if n_mc < 2:
+        raise ValueError(f"the Monte Carlo standard error needs n_mc >= 2 draws, got {n_mc}")
     from scipy.special import gammaln  # slow to import; kept off the CLI's start-up
 
     spec = prior_spec or PriorSpec()

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixanchor.chainio import chain_from_csv, chain_to_csv
+from mixanchor.chainio import chain_from_csv, chain_to_csv, write_table
 from mixanchor.cli import main
 from mixanchor.likelihood import Dataset
+from mixanchor.params import StandardParams
 from mixanchor.priors import PriorSpec
 from mixanchor.sampler import (
     Chain,
@@ -61,6 +62,35 @@ MALFORMED_CONFIGS = [
     ("file-list", [{"run": {"iterations": 200}}], "must hold a JSON object"),
 ]
 
+README_MODEL = {"family": "gaussian", "weights": [0.65, 0.35], "locs": [-8.0, -0.5],
+                "scales": [2.0, 1.0]}
+
+# (id, simulate config, what the error must name); the model is read as a
+# StandardParams, whose checks name the offending key
+MALFORMED_MODELS = [
+    ("model-list", {"model": [1, 2]}, "section 'model'"),
+    ("short-locs", {"model": {**README_MODEL, "locs": [-8.0]}}, "locs length"),
+    ("no-scales", {"model": {k: v for k, v in README_MODEL.items() if k != "scales"}}, "scales"),
+    ("unknown-key", {"model": {**README_MODEL, "colour": "red"}},
+     "unknown model options: ['colour']"),
+    ("weights-object", {"model": {**README_MODEL, "weights": {"a": 1}}}, "model options"),
+    ("zero-scale", {"model": {**README_MODEL, "scales": [0.0, 1.0]}}, "scales"),
+    ("rate-scales", {"model": {"family": "poisson", "weights": [0.5, 0.5], "locs": [1.0, 4.0],
+                               "scales": [1.0, 1.0]}}, "poisson mixtures carry no scales"),
+]
+
+# (id, manifest contents, what the error must name); a manifest is read the
+# way `fit --config` reads a config
+MALFORMED_MANIFESTS = [
+    ("list", [], "must hold a JSON object"),
+    ("string-burn-in", {"family": "gaussian",
+                        "config": {"run": {"iterations": 200, "burn_in": "50"}}}, "'burn_in'"),
+    ("config-string", {"family": "gaussian", "config": "run"}, "section 'config'"),
+    ("removed-run-key", {"family": "gaussian",
+                         "config": {"run": {"iterations": 200, "burn_in": 50, "batch_size": 50}}},
+     "unknown run options: ['batch_size']"),
+]
+
 
 def read_rows(path):
     with open(path, newline="") as handle:
@@ -104,6 +134,49 @@ class TestSimulate:
         code = main(["simulate", "--config", str(config), "--n", "5",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("config, named", [
+        pytest.param(config, named, id=name) for name, config, named in MALFORMED_MODELS
+    ])
+    def test_malformed_model_refused(self, tmp_path, capsys, config, named):
+        # the first two crashed with a traceback; unknown keys, zero scales and
+        # scales on a rate model were simulated
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(path), "--n", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_family_from_top_level_keeps_the_draws(self, tmp_path):
+        # the family may come from --family, the model or the config's top
+        # level; each draws the components, then the values, from one generator
+        model = {"weights": [0.3, 0.7], "locs": [0.5, 4.0]}
+        sources = {
+            "top": ({"family": "exponential", "model": model}, []),
+            "model": ({"family": "gaussian", "model": {**model, "family": "exponential"}}, []),
+            "flag": ({"family": "gaussian", "model": model}, ["--family", "exponential"]),
+        }
+        for name, (config, flags) in sources.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", "--config", str(path), "--n", "500", "--seed", "3",
+                         "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        rng = np.random.default_rng(3)
+        comp = rng.choice(2, size=500, p=np.array(model["weights"]))
+        write_table(tmp_path / "reference.csv",
+                    [("value", rng.exponential(np.array(model["locs"])[comp]))])
+        reference = (tmp_path / "reference.csv").read_bytes()
+        for name in sources:
+            assert (tmp_path / f"{name}.csv").read_bytes() == reference, name
+
+    def test_readme_lists_exactly_the_model_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("The `model` section accepts exactly these keys")[1].split("\n\n")[1]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys == [field.name for field in dataclasses.fields(StandardParams)]
 
 
 class TestFit:
@@ -483,6 +556,18 @@ class TestPriorSampleAndSummarize:
         assert qrows[0] == ["q0.5", "q0.99"]
         assert len(qrows) == 51
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--family", "gaussian", "--n", "-3"], "--n >= 0, got -3"),
+        (["--family", "poisson", "--n", "5", "--quantiles", "0.5"], "gaussian prior only"),
+    ], ids=["negative-n", "rate-quantiles"])
+    def test_prior_sample_refuses_bad_flags(self, tmp_path, capsys, argv, named):
+        # a negative --n ended in numpy's "negative dimensions", and a rate
+        # family's quantile study sampled the gaussian prior
+        out = tmp_path / "prior.csv"
+        assert main(["prior-sample", "--k", "2", *argv, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", [2.7, True, "3", 1])
     def test_prior_sample_refuses_non_integer_k(self, tmp_path, capsys, k):
         config = tmp_path / "k.json"
@@ -561,7 +646,39 @@ def _broken_copy(tmp_path, run, column, value):
     return broken
 
 
+@pytest.fixture(scope="module")
+def gaussian_run(tmp_path_factory):
+    """One 200-sweep Gaussian chain with burn-in 50, shared by the refusal tests."""
+    return _fit_one_chain(tmp_path_factory.mktemp("gaussian"), "gaussian")
+
+
 class TestSummarizeRefusals:
+    @pytest.mark.parametrize("manifest, named", [
+        pytest.param(manifest, named, id=name) for name, manifest, named in MALFORMED_MANIFESTS
+    ])
+    def test_malformed_manifest_refused(self, gaussian_run, tmp_path, capsys, manifest, named):
+        # the first three crashed with a traceback; the last was summarised
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "s"
+        code = main(["summarize", "--data", str(gaussian_run / "chain_0.csv"),
+                     "--manifest", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("burn_in", [-5, 200, 250])
+    def test_burn_in_outside_the_chain_refused(self, gaussian_run, tmp_path, capsys, burn_in):
+        # -5 summarised the last five draws; 200 and more said only "empty chain"
+        chain = gaussian_run / "chain_0.csv"
+        code = main(["summarize", "--data", str(chain), "--burnin", str(burn_in),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert f"{chain} holds 200 draws" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=r"in \[0, 200\), got"):
+            chain_from_csv(chain, burn_in=burn_in)
+
     def test_rate_chain_needs_its_family(self, tmp_path, capsys):
         # a chain without a mu column used to be summarised as Poisson
         run = _fit_one_chain(tmp_path, "exponential")
@@ -597,6 +714,16 @@ class TestSummarizeRefusals:
 
 
 class TestOracleCheck:
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_too_few_draws_refused(self, tmp_path, capsys, n_mc):
+        # the standard error needs two draws: these printed and wrote NaN
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--n-mc", str(n_mc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"n_mc >= 2 draws, got {n_mc}" in captured.err
+        assert "NaN" not in captured.out
+        assert not out.exists()
+
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "oracle.json"
         code = main(["oracle-check", "--n-mc", "100000", "--out", str(out)])
@@ -608,6 +735,25 @@ class TestOracleCheck:
             "rate_marginal_identity",
             "single_observation_divergence",
         }
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "summarize"])
+def test_unusable_paths_refused(tmp_path, capsys, command):
+    # a directory where a file is read, or a file where a directory is made,
+    # ended in an OSError traceback
+    data, existing = tmp_path / "data.csv", tmp_path / "existing"
+    data.write_text("value\n1.0\n2.5\n4.0\n")
+    existing.write_text("")
+    argv, named = {
+        "simulate": (["--config", str(tmp_path), "--n", "5", "--out", str(tmp_path / "x.csv")],
+                     tmp_path),
+        "fit": (["--family", "gaussian", "--k", "2", "--iters", "100", "--burnin", "10",
+                 "--data", str(data), "--out", str(existing)], existing),
+        "summarize": (["--data", str(tmp_path), "--family", "gaussian",
+                       "--out", str(tmp_path / "s")], tmp_path),
+    }[command]
+    assert main([command, *argv]) == 2
+    assert f"{named}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
