@@ -219,10 +219,18 @@ def cmd_fit(args) -> int:
 
     sampler_name, runner = _select_sampler(family, k, config)
     out_dir = Path(args.out)
+    # made before sampling, so an unusable path is refused first, and removed
+    # again, deepest first, if the sampler refuses the data
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    result = runner(data, prior)
+    try:
+        result = runner(data, prior)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
     wall = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -399,6 +399,42 @@ def _gaussian_logpost(
     return lp + loglik_gaussian_arrays(data.values, weights, locs, scales, log_w)
 
 
+_NO_VARPI = np.empty(0)  # the location angles of a two-component state: none
+_NO_VARPI.flags.writeable = False
+
+
+def _weight_pair(p1: float) -> np.ndarray:
+    return np.array([p1, 1.0 - p1])
+
+
+def _k2_angles(v: np.ndarray) -> tuple:
+    """``(phi_sq, xi, log|d eta1_sq / d xi|)`` of a two-component scale simplex
+    ``v = (phi_sq, eta1_sq, eta2_sq)``, where ``eta1_sq = (1 - phi_sq) cos^2 xi``."""
+    phi_sq = float(v[0])
+    xi = math.atan2(math.sqrt(v[2]), math.sqrt(v[1]))
+    log_jacobian = math.log(2.0 * (1.0 - phi_sq) * math.cos(xi) * math.sin(xi))
+    return phi_sq, np.array([xi]), log_jacobian
+
+
+def _k2_logpost(data: Dataset, spec: PriorSpec, mu: float, sigma: float, p1: float,
+                v: np.ndarray, sign: int, cache: dict | None = None) -> float:
+    """Log-posterior of a two-component state ``(mu, sigma, p1, v, sign)``.
+
+    This is :func:`_gaussian_logpost` at ``weights = (p1, 1 - p1)``, the scale
+    angle ``xi`` of ``v`` and no location angle, measured through ``eta1_sq``
+    instead of ``xi``: less the log-Jacobian of ``xi -> eta1_sq``.  The
+    derived values go into ``cache`` as they do there.
+    """
+    # the Jacobian is log 0 on the boundary of the simplex
+    if not (0.0 < p1 < 1.0 and min(v) > 0.0 and v[0] < 1.0):
+        return -math.inf
+    c = {} if cache is None else cache
+    weights = _cached(c, "k2_weights", _weight_pair, p1)
+    phi_sq, xi, log_jacobian = _cached(c, "k2_angles", _k2_angles, v)
+    lp = _gaussian_logpost(data, spec, mu, sigma, weights, phi_sq, sign, _NO_VARPI, xi, c)
+    return lp - log_jacobian
+
+
 def log_posterior(data: Dataset, prior_spec: PriorSpec, state) -> float:
     """Log prior plus log likelihood; ``-inf`` outside the support.
 

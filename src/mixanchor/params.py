@@ -38,9 +38,14 @@ MIN_WEIGHT = 1e-12
 
 
 def _frozen_vector(x, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    try:
+        arr = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name} must be a 1-d sequence of numbers, got {x!r}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d sequence, got shape {arr.shape}")
+    if any(isinstance(value, (bool, np.bool_)) for value in np.asarray(x, dtype=object)):
+        raise ValueError(f"{name} must hold numbers, not booleans, got {x!r}")
     arr.flags.writeable = False
     return arr
 
@@ -88,11 +93,15 @@ class StandardParams:
                 raise ValueError("scales length must match weights length")
             if not np.all(self.scales > 0):
                 raise ValueError("component scales must be strictly positive")
+            if not np.all(np.isfinite(self.scales)):
+                raise ValueError(f"scales must be finite, got {self.scales.tolist()}")
         else:
             if self.scales is not None:
                 raise ValueError(f"{self.family} mixtures carry no scales")
             if not np.all(self.locs > 0):
                 raise ValueError("component rates must be strictly positive")
+        if not np.all(np.isfinite(self.locs)):
+            raise ValueError(f"locs must be finite, got {self.locs.tolist()}")
 
     @property
     def k(self) -> int:

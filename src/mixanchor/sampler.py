@@ -6,6 +6,8 @@ with its scale kind, initial scale and target acceptance rate, plus a
 target log-density, an initial-state draw and a row recorder.  One driver
 owns the rest: entry checks, initial-state search, the Metropolis-Hastings
 step, acceptance flags, adaptation, chain columns and per-chain seeding.
+Both Gaussian samplers run on the one Gaussian target of ``likelihood``, and
+every state carries that target's derived-value cache.
 
 Asymmetric proposals (Beta, Dirichlet, Inverse-Gamma, independence moves)
 carry the full ``q(current|proposed) / q(proposed|current)`` correction, and
@@ -34,14 +36,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .likelihood import (
-    Dataset,
-    _gaussian_logpost,
-    _rate_logpost,
-    loglik_gaussian_arrays,
-)
-from .priors import PriorSpec, _betaln, _log_beta, _log_dirichlet, sample_prior, sample_varpi
-# not called here: the layer tracer of ``bench/spans.py`` wraps it under this name
+from .likelihood import Dataset, _gaussian_logpost, _k2_logpost, _rate_logpost
+from .priors import PriorSpec, _betaln, sample_prior, sample_varpi
+# not called here: the layer tracer of ``bench/spans.py`` wraps them under these names
+from .likelihood import loglik_gaussian_arrays  # noqa: F401
+from .priors import _log_beta, _log_dirichlet  # noqa: F401
 from .transforms import standard_arrays_from_angular  # noqa: F401
 
 __all__ = [
@@ -534,48 +533,6 @@ def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig
 # Gaussian sampler, k = 2 specialisation
 
 
-def _k2_logpost(data, prior_spec, mu, sigma, p1, v, sign):
-    """Target density over (mu, sigma, p, phi_sq, eta1_sq, sign) for k = 2.
-
-    The sigma coordinate keeps the 1/sigma convention used everywhere else;
-    the sigma-squared block converts with its own Jacobian.  The scale pair
-    (eta1_sq, eta2_sq) is measured through eta1_sq, with the prior density
-    depending on the prior kind.
-    """
-    phi_sq, eta1_sq, eta2_sq = v
-    if (
-        sigma <= 0
-        or not 0.0 < p1 < 1.0
-        or min(phi_sq, eta1_sq, eta2_sq) <= 0.0
-        or phi_sq >= 1.0
-    ):
-        return -math.inf
-    spec = prior_spec
-    weights = np.array([p1, 1.0 - p1])
-    lp = -math.log(sigma)
-    lp += _log_dirichlet(weights, spec.alpha0)
-    lp += _log_beta(phi_sq, *spec.phi_beta)
-    lp += math.log(0.5)
-    one_minus = 1.0 - phi_sq
-    if spec.kind == "single_uniform":
-        lp += -math.log(one_minus)
-    else:
-        lp += -math.log(math.pi) - 0.5 * math.log(eta1_sq) - 0.5 * math.log(eta2_sq)
-    if lp == -math.inf:
-        return -math.inf
-    locs, scales = _k2_components(mu, sigma, p1, v, sign)
-    return lp + loglik_gaussian_arrays(data.values, weights, locs, scales)
-
-
-def _k2_components(mu, sigma, p1, v, sign):
-    """Component locations and scales of a k = 2 state."""
-    phi_sq, eta1_sq, eta2_sq = v
-    phi = sign * math.sqrt(phi_sq)
-    sq = np.sqrt([p1, 1.0 - p1])
-    locs = mu + sigma * np.array([-phi * sq[1], phi * sq[0]]) / sq
-    return locs, sigma * np.sqrt([eta1_sq, eta2_sq]) / sq
-
-
 def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
     n = data.n
     xbar = float(np.mean(data.values))
@@ -603,6 +560,7 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
             "p1": float(draws.weights[0, 0]),
             "v": v,
             "sign": int(draws.phi_sign[0]),
+            "cache": {},
         }
 
     def mean_move(rng, mu, eps):
@@ -615,17 +573,17 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
         return _invgamma_sigma_proposal(rng, sigma, ig_shape, ig_scale)
 
     def row(s):
-        locs, scales = _k2_components(**s)
-        phi_sq, eta1_sq, eta2_sq = s["v"]
+        cache = s["cache"]
+        phi_sq, xi, _ = cache["k2_angles"][1]
         return {
             "mu": s["mu"],
             "sigma": s["sigma"],
-            "weights": [s["p1"], 1.0 - s["p1"]],
-            "locs": locs,
-            "scales": scales,
+            "weights": cache["k2_weights"][1],
+            "locs": cache["locs"][1],
+            "scales": cache["scales"][1],
             "phi_sq": phi_sq,
             "phi_sign": s["sign"],
-            "xi": [math.atan2(math.sqrt(eta2_sq), math.sqrt(eta1_sq))],
+            "xi": xi,
             "varpi": (),
         }
 
@@ -636,7 +594,12 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
         # joint (phi_sq, eta1_sq, eta2_sq) block plus a fair sign draw
         _Block("v", _on("v", simplex_proposal, sign="sign"), kind, scale, VECTOR_RATE),
     )
-    return blocks, lambda s: _k2_logpost(data, prior_spec, **s), init, row
+
+    def target(s):
+        _own_cache(s)
+        return _k2_logpost(data, prior_spec, **s)
+
+    return blocks, target, init, row
 
 
 def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
@@ -647,7 +610,8 @@ def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> 
     variant 2 walks the logit weight and the log-ratio simplex coordinates.
     Both variants propose the globals independently: the mean from a normal
     law at the sample mean, the variance from an Inverse-Gamma law anchored
-    at the sample variance.
+    at the sample variance.  The target is the general Gaussian one, cache
+    included, measured through ``eta1_sq`` (``likelihood._k2_logpost``).
     """
     return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config)
 

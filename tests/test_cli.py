@@ -77,6 +77,14 @@ MALFORMED_MODELS = [
     ("zero-scale", {"model": {**README_MODEL, "scales": [0.0, 1.0]}}, "scales"),
     ("rate-scales", {"model": {"family": "poisson", "weights": [0.5, 0.5], "locs": [1.0, 4.0],
                                "scales": [1.0, 1.0]}}, "poisson mixtures carry no scales"),
+    ("nan-loc", {"model": {**README_MODEL, "locs": ["nan", 1.0]}}, "locs must be finite"),
+    ("infinite-scale", {"model": {**README_MODEL, "scales": [math.inf, 1.0]}},
+     "scales must be finite"),
+    ("infinite-rate", {"model": {"family": "exponential", "weights": [0.5, 0.5],
+                                 "locs": [math.inf, 4.0]}}, "locs must be finite"),
+    ("string-weights", {"model": {**README_MODEL, "weights": "ab"}}, "weights must be"),
+    ("boolean-weights", {"model": {**README_MODEL, "weights": [True, False]}},
+     "weights must hold numbers, not booleans"),
 ]
 
 # (id, manifest contents, what the error must name); a manifest is read the
@@ -139,8 +147,9 @@ class TestSimulate:
         pytest.param(config, named, id=name) for name, config, named in MALFORMED_MODELS
     ])
     def test_malformed_model_refused(self, tmp_path, capsys, config, named):
-        # the first two crashed with a traceback; unknown keys, zero scales and
-        # scales on a rate model were simulated
+        # the first two crashed with a traceback; unknown keys, zero scales,
+        # scales on a rate model, non-finite locations and scales, and boolean
+        # weights were simulated; an unreadable vector did not name its key
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "x.csv"
@@ -337,6 +346,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_refused_fit_leaves_no_directory_it_made(self, tmp_path, capsys):
+        # the data check refused the fit after --out was made, which stayed behind
+        data = tmp_path / "data.csv"
+        data.write_text("value\n-1\n2\n3\n")
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "new", tmp_path / "a" / "b", kept):
+            code = main(["fit", "--family", "poisson", "--k", "2", "--data", str(data),
+                         "--iters", "200", "--burnin", "50", "--out", str(out)])
+            assert code == 2
+            assert "nonnegative integers" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "kept"]
+        assert not any(kept.iterdir())
 
     @pytest.mark.parametrize("family, k, flags", [
         ("gaussian", 3, []), ("gaussian", 2, []), ("gaussian", 2, ["--proposal", "2"]),

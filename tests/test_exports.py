@@ -1,7 +1,10 @@
-"""Every name a ``mixanchor`` module exports through ``__all__`` resolves."""
+"""Every name a ``mixanchor`` module exports through ``__all__``, and every
+name the benchmark's layer tracer wraps, resolves."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,19 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def _traced_names():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [name for names in spans.WRAPPED.values() for name in names]
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_traced_name_resolves(name):
+    # the benchmark's layer tracer wraps each layer under the name its caller
+    # looks up; a name gone from its module would read null, not fail
+    module_name, attr = name.split(":")
+    assert hasattr(importlib.import_module(module_name), attr)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mixanchor.likelihood import (
     Dataset,
     _gaussian_logpost,
+    _k2_logpost,
     _rate_logpost,
     loglik_exponential_arrays,
     loglik_gaussian_arrays,
@@ -25,11 +26,13 @@ from mixanchor.priors import (
     log_varpi_density,
     log_xi_density,
 )
-from mixanchor.sampler import RunConfig, _gaussian_kernel, _rate_kernel
+from mixanchor.sampler import RunConfig, _gaussian_k2_kernel, _gaussian_kernel, _rate_kernel
 from mixanchor.transforms import standard_arrays_from_angular
 
-KERNELS = [("gaussian", k, kind) for k in (2, 3, 4, 5) for kind in PRIOR_KINDS]
-KERNELS += [("poisson", 3, "double_uniform"), ("exponential", 2, "double_uniform")]
+# (family, k, prior kind, k = 2 proposal variant or None for the general kernels)
+KERNELS = [("gaussian", k, kind, None) for k in (2, 3, 4, 5) for kind in PRIOR_KINDS]
+KERNELS += [("gaussian", 2, kind, proposal) for kind in PRIOR_KINDS for proposal in (1, 2)]
+KERNELS += [("poisson", 3, "double_uniform", None), ("exponential", 2, "double_uniform", None)]
 
 
 def reference_gaussian_logpost(data, spec, mu, sigma, weights, phi_sq, phi_sign, varpi, xi):
@@ -51,6 +54,54 @@ def reference_gaussian_logpost(data, spec, mu, sigma, weights, phi_sq, phi_sign,
     return lp + loglik_gaussian_arrays(data.values, weights, locs, scales)
 
 
+def reference_k2_logpost(data, spec, mu, sigma, p1, v, sign):
+    """The two-component target over ``(mu, sigma, p1, v, sign)``, term by term,
+    with ``v = (phi_sq, eta1_sq, eta2_sq)`` measured through ``eta1_sq``: the
+    prior factors of each kind written out, then the component locations and
+    scales of k = 2 and the likelihood."""
+    phi_sq, eta1_sq, eta2_sq = v
+    if sigma <= 0 or not 0.0 < p1 < 1.0 or min(phi_sq, eta1_sq, eta2_sq) <= 0.0 or phi_sq >= 1.0:
+        return -math.inf
+    weights = np.array([p1, 1.0 - p1])
+    lp = -math.log(sigma)
+    lp += _log_dirichlet(weights, spec.alpha0)
+    lp += _log_beta(phi_sq, *spec.phi_beta)
+    lp += math.log(0.5)
+    if spec.kind == "single_uniform":
+        lp += -math.log(1.0 - phi_sq)
+    else:
+        lp += -math.log(math.pi) - 0.5 * math.log(eta1_sq) - 0.5 * math.log(eta2_sq)
+    if lp == -math.inf:
+        return -math.inf
+    phi = sign * math.sqrt(phi_sq)
+    sq = np.sqrt(weights)
+    locs = mu + sigma * np.array([-phi * sq[1], phi * sq[0]]) / sq
+    scales = sigma * np.sqrt([eta1_sq, eta2_sq]) / sq
+    return lp + loglik_gaussian_arrays(data.values, weights, locs, scales)
+
+
+def k2_tolerance(v):
+    """Relative tolerance of ``_k2_logpost`` against :func:`reference_k2_logpost`.
+
+    The program reaches the scale pair through ``1 - phi_sq`` and the angle
+    ``xi``, as the general target does, so a few ulps times
+    ``1/(1 - phi_sq) + 1/cos xi`` of relative error carry into the component
+    scales and the density of ``xi``.  The tolerance is 1e-13 wherever that
+    sum is at most 100 (``1 - phi_sq`` and ``cos xi`` both at least 0.02),
+    and grows toward ``phi_sq = 1`` and ``eta1_sq = 0``.
+    """
+    one_minus = 1.0 - v[0]
+    condition = 1.0 / one_minus + math.sqrt(one_minus / v[1])
+    return 1e-15 * max(100.0, condition)
+
+
+def assert_k2_close(value, reference, v):
+    if reference == -math.inf:
+        assert value == -math.inf
+    else:
+        assert abs(value - reference) <= k2_tolerance(v) * abs(reference)
+
+
 def reference_rate_logpost(data, spec, family, lam, gamma, weights):
     if not (lam > 0 and np.all(gamma >= MIN_WEIGHT) and np.all(weights >= MIN_WEIGHT)):
         return -math.inf
@@ -63,11 +114,11 @@ def reference_rate_logpost(data, spec, family, lam, gamma, weights):
     return lp + loglik(data, weights, lam * gamma / weights)
 
 
-def make_kernel(family, k, kind):
+def make_kernel(family, k, kind, proposal=None):
     rng = np.random.default_rng(17)
     if family == "gaussian":
         values = np.concatenate([rng.normal(-4.0, 1.0, 25), rng.normal(5.0, 2.0, 25)])
-        build = _gaussian_kernel
+        build = _gaussian_kernel if proposal is None else _gaussian_k2_kernel
     elif family == "poisson":
         values = rng.poisson(rng.choice([1.0, 4.0, 12.0], size=60)).astype(float)
         build = _rate_kernel
@@ -75,7 +126,8 @@ def make_kernel(family, k, kind):
         values = rng.exponential(rng.choice([1.0, 5.0], size=60))
         build = _rate_kernel
     data, spec = Dataset(values), PriorSpec(kind=kind)
-    return build(data, family, k, spec, RunConfig(iterations=10, burn_in=0)), data, spec
+    config = RunConfig(iterations=10, burn_in=0, proposal=proposal)
+    return build(data, family, k, spec, config), data, spec
 
 
 def fields(state):
@@ -84,6 +136,9 @@ def fields(state):
 
 def uncached(family, data, spec, state):
     """``(cache-free target, reference)`` for one state."""
+    if "p1" in state:
+        return (_k2_logpost(data, spec, **fields(state)),
+                reference_k2_logpost(data, spec, **fields(state)))
     if family == "gaussian":
         return (_gaussian_logpost(data, spec, **fields(state)),
                 reference_gaussian_logpost(data, spec, **fields(state)))
@@ -112,8 +167,8 @@ def test_cached_target_matches_cache_free_and_reference_bits(case, seed, moves):
     # each move: a block, its scale as a power of ten times the initial one
     # (wide and narrow enough to leave the support), and whether a finite
     # proposal is accepted
-    family, k, kind = case
-    kernel, data, spec = make_kernel(family, k, kind)
+    family, k, kind, proposal = case
+    kernel, data, spec = make_kernel(family, k, kind, proposal)
     blocks, target, _, row = kernel
     rng = np.random.default_rng(seed)
     state = first_state(kernel, rng)
@@ -125,11 +180,25 @@ def test_cached_target_matches_cache_free_and_reference_bits(case, seed, moves):
             continue
         cached = target(proposed)
         bare, reference = uncached(family, data, spec, proposed)
-        assert cached.hex() == float(bare).hex() == float(reference).hex()
+        if proposal is None:
+            assert cached.hex() == float(bare).hex() == float(reference).hex()
+        else:
+            assert cached.hex() == float(bare).hex()
+            assert_k2_close(cached, reference, proposed["v"])
         if accept and math.isfinite(cached):
             state = proposed
             recorded = row(state)
-            if family == "gaussian":
+            if proposal is not None:
+                v = state["v"]
+                xi = np.array([math.atan2(math.sqrt(v[2]), math.sqrt(v[1]))])
+                weights = np.array([state["p1"], 1.0 - state["p1"]])
+                locs, scales, _ = standard_arrays_from_angular(
+                    state["mu"], state["sigma"], weights, float(v[0]), state["sign"],
+                    np.empty(0), xi)
+                assert np.array_equal(recorded["scales"], scales)
+                assert np.array_equal(recorded["weights"], weights)
+                assert np.array_equal(recorded["xi"], xi) and recorded["phi_sq"] == v[0]
+            elif family == "gaussian":
                 locs, scales, _ = standard_arrays_from_angular(
                     state["mu"], state["sigma"], state["weights"], state["phi_sq"],
                     state["phi_sign"], state["varpi"], state["xi"])
@@ -152,7 +221,8 @@ def _snapshot(state):
             if name != "cache"}
 
 
-@pytest.mark.parametrize("case", KERNELS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize(
+    "case", KERNELS, ids=lambda c: "-".join(str(x) for x in c if x is not None))
 def test_no_block_mutates_a_state_in_place(case):
     # the caches key on object identity, which is sound only while a value,
     # once in a state, is never written to
@@ -167,7 +237,7 @@ def test_no_block_mutates_a_state_in_place(case):
             if proposed is not None:
                 # a block replaces one field (the k = 2 radius also redraws the sign)
                 moved = {name for name in fields(state) if proposed[name] is not state[name]}
-                assert len(moved - {"phi_sign"}) <= 1
+                assert len(moved - {"phi_sign", "sign"}) <= 1
                 proposal_before = _snapshot(proposed)
                 target(proposed)
                 assert _unchanged(proposal_before, proposed)
@@ -176,3 +246,37 @@ def test_no_block_mutates_a_state_in_place(case):
             assert all(state["cache"][key] is entry for key, entry in cache_before.items())
             if proposed is not None and rng.random() < 0.5:
                 state = proposed
+
+
+def _k2_states(rng, count):
+    """Random two-component states, from the bulk to the edges of the simplex,
+    plus boundary states outside the support."""
+    for _ in range(count):
+        v = rng.dirichlet(np.full(3, 10.0 ** rng.uniform(-1.5, 2.0)))
+        yield rng.normal(0.0, 5.0), math.exp(rng.normal(1.0, 1.0)), rng.beta(0.8, 0.8), v
+    bulk = np.array([0.3, 0.5, 0.2])
+    for p1 in (0.0, 1.0, 1e-13, 1.0 - 1e-13):  # the last two leave the Dirichlet's support
+        yield 0.0, 2.0, p1, bulk
+    edges = ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.3, 0.7, 0.0], [1.0, 1e-9, 1e-9])
+    for v in edges:
+        yield 0.0, 2.0, 0.4, np.array(v)
+    yield 0.0, 0.0, 0.4, bulk
+    yield 0.0, -1.0, 0.4, bulk
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_k2_target_matches_the_term_by_term_formula(kind, sign):
+    # the k = 2 target is the general one less the Jacobian of xi -> eta1_sq;
+    # the reference keeps the kind-specific factors and the k = 2 transform
+    rng = np.random.default_rng(23)
+    data = Dataset(np.concatenate([rng.normal(-8.0, 2.0, 33), rng.normal(-0.5, 1.0, 17)]))
+    spec = PriorSpec(kind=kind)
+    finite = 0
+    for mu, sigma, p1, v in _k2_states(rng, 1000):
+        value = _k2_logpost(data, spec, mu, sigma, p1, v, sign)
+        reference = reference_k2_logpost(data, spec, mu, sigma, p1, v, sign)
+        assert value != math.inf
+        assert_k2_close(value, reference, v)
+        finite += math.isfinite(reference)
+    assert finite > 900
