@@ -260,7 +260,8 @@ def cmd_fit(args) -> int:
             "run": dataclasses.asdict(config),
         },
         "wall_clock_s": wall,
-        "timings": {"sample_s": wall, "write_s": write_s, **summary_timings},
+        "timings": {"sample_s": wall, "chain_s": result.chain_s, "workers": result.workers,
+                    "write_s": write_s, **summary_timings},
         "n_observations": data.n,
         "chains": [
             {

@@ -6,6 +6,9 @@ with its scale kind, initial scale and target acceptance rate, plus a
 target log-density, an initial-state draw and a row recorder.  One driver
 owns the rest: entry checks, initial-state search, the Metropolis-Hastings
 step, acceptance flags, adaptation, chain columns and per-chain seeding.
+With two or more chains and usable CPUs, a fit's chains run in forked worker
+processes; each chain's seed is spawned from the run's, so the chains do not
+depend on the number of processes.
 Both Gaussian samplers run on the one Gaussian target of ``likelihood``, and
 every state carries that target's derived-value cache.
 
@@ -29,14 +32,17 @@ length adapts throughout.
 from __future__ import annotations
 
 import math
+import os
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .likelihood import Dataset, _gaussian_logpost, _k2_logpost, _rate_logpost
+from .params import MIN_WEIGHT
 from .priors import PriorSpec, _betaln, sample_prior, sample_varpi
 # not called here: the layer tracer of ``bench/spans.py`` wraps them under these names
 from .likelihood import loglik_gaussian_arrays  # noqa: F401
@@ -177,11 +183,14 @@ class Chain:
 
 @dataclass
 class RunResult:
-    """Chains plus the final proposal scales and block acceptance rates."""
+    """Chains plus the final proposal scales and block acceptance rates, each
+    chain's wall seconds and the number of processes the chains ran in."""
 
     chains: list
     final_scales: list
     config: RunConfig
+    chain_s: list
+    workers: int
 
     def acceptance_rates(self, start: int | None = None) -> list:
         start = self.config.horizon if start is None else start
@@ -366,6 +375,10 @@ def adapt_scales(scales: dict, blocks, accepts: dict, t: int) -> None:
         scales[block.name] *= math.exp(direction * delta)
 
 
+class _NoInitialState(RuntimeError):
+    """No draw of ``init`` gave a finite log-posterior."""
+
+
 def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
     """Run one chain of ``kernel``; returns ``(chain, final_scales)``.
 
@@ -379,7 +392,7 @@ def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
         if np.isfinite(lp := target(state)):
             break
     else:
-        raise RuntimeError("could not find a finite initial log-posterior")
+        raise _NoInitialState("could not find a finite initial log-posterior")
 
     T, horizon = config.iterations, config.horizon
     scales = {b.name: b.scale for b in blocks if b.kind != "fixed"}
@@ -402,8 +415,74 @@ def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
     return Chain(family, k, config.burn_in, accepts=accepts, **columns), scales
 
 
+_worker_job = None  # the job a forked worker was handed; see ``_run_chains``
+
+
+def _take_job(job) -> None:
+    """Pool initializer: keep ``job`` for ``_chain_job``, and let an interrupt
+    end the worker at once instead of letting it start the next queued chain."""
+    import signal
+
+    global _worker_job
+    _worker_job = job
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _chain_job(i: int, job=None) -> tuple:
+    """Run chain ``i`` of ``job`` (by default the job of this worker); returns
+    ``(chain, final_scales, wall seconds)``."""
+    kernel, family, k, config, seeds = _worker_job if job is None else job
+    start = time.perf_counter()
+    # a move that takes a standardised residual past the float range gets a
+    # -inf likelihood term, which is right; its overflow warning is silenced
+    # once here rather than in every target call
+    with np.errstate(over="ignore"):
+        rng = np.random.Generator(np.random.PCG64(seeds[i]))
+        chain, scales = _run_chain(kernel, family, k, config, rng)
+    return chain, scales, time.perf_counter() - start
+
+
+def _run_chains(job) -> tuple:
+    """Every chain of ``job`` in chain order, and the number of processes used.
+
+    Workers inherit ``job`` through the pool's initializer, so only chain
+    indices and results are pickled.  Forking is safe here: the sampler
+    starts no thread, and the pool forks every worker before it starts its
+    own.  The pool is imported only when it is used.
+    """
+    n_chains = len(job[-1])  # one spawned seed per chain
+    try:
+        workers = min(n_chains, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no CPU affinity on this platform
+        workers = 1
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            # leaving the block joins every worker; a failed chain cancels the pending ones
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=_take_job,
+                                     initargs=(job,)) as pool:
+                return list(pool.map(_chain_job, range(n_chains))), workers
+    return [_chain_job(i, job) for i in range(n_chains)], 1
+
+
 def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> RunResult:
-    """Check the data, then run ``build(...)``'s kernel once per spawned seed."""
+    """Check the data, then run ``build(...)``'s kernel once per spawned seed.
+
+    Chain ``i`` draws from ``PCG64(SeedSequence(config.seed).spawn(n)[i])``
+    whatever process it runs in, so the chains are the same whatever the CPU
+    count.  With two or more chains and two or more usable CPUs the chains
+    run in ``min(n_chains, usable CPUs)`` forked worker processes, which
+    inherit the kernel (a closure, which does not pickle) and hand back each
+    chain with its final scales and wall time; otherwise they run one after
+    another in this process.  A chain's error is raised here as it would be in-process,
+    and no worker outlives the call.  A kernel whose prior never draws an
+    initial state inside the support is refused with a ``ValueError`` that
+    names the prior settings.
+    """
     data.check_family(family)
     if family == "gaussian":
         if data.n < 2:
@@ -439,15 +518,17 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
             f"run option 'init_scales' names {unknown}, which are not tuned blocks of "
             f"this kernel (tuned blocks: {tuned})"
         )
-    # a move that takes a standardised residual past the float range gets a
-    # -inf likelihood term, which is right; its overflow warning is silenced
-    # once here rather than in every target call
-    with np.errstate(over="ignore"):
-        runs = [
-            _run_chain(kernel, family, k, config, np.random.Generator(np.random.PCG64(child)))
-            for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
-        ]
-    return RunResult([c for c, _ in runs], [s for _, s in runs], config)
+    job = (kernel, family, k, config, np.random.SeedSequence(config.seed).spawn(config.n_chains))
+    try:
+        runs, workers = _run_chains(job)
+    except _NoInitialState:
+        raise ValueError(
+            f"no prior draw of the initial state lay inside the support under the prior "
+            f"settings {asdict(prior_spec)}: extreme hyperparameters put the draws on its "
+            f"boundary (a weight below {MIN_WEIGHT}, or a squared radius at 0 or 1)"
+        ) from None
+    chains, scales, seconds = zip(*runs)
+    return RunResult(list(chains), list(scales), config, list(seconds), workers)
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -226,10 +229,17 @@ class TestFit:
 
         manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
         timings = manifest["timings"]
-        assert set(timings) == {"sample_s", "write_s", "summary_s", "density_s"}
-        for value in timings.values():
+        assert set(timings) == {"sample_s", "chain_s", "workers", "write_s", "summary_s",
+                                "density_s"}
+        # one wall time per chain, and the number of processes they ran in
+        chain_s = timings.pop("chain_s")
+        assert len(chain_s) == 2
+        workers = timings.pop("workers")
+        assert type(workers) is int and 1 <= workers <= 2
+        for value in [*timings.values(), *chain_s]:
             assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
         assert timings["sample_s"] == manifest["wall_clock_s"]
+        assert "workers" not in manifest["config"]["run"]
 
     def test_single_observation_refused_with_propriety_message(self, gaussian_config, tmp_path, capsys):
         data = tmp_path / "one.csv"
@@ -347,19 +357,73 @@ class TestFit:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_refused_fit_leaves_no_directory_it_made(self, tmp_path, capsys):
-        # the data check refused the fit after --out was made, which stayed behind
+    def test_refused_fit_leaves_no_directory_it_made(self, tmp_path, capsys, monkeypatch):
+        # the data check refused the fit after --out was made, which stayed behind;
+        # a refusal raised in a worker process, after the pool started, cleans up too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         data = tmp_path / "data.csv"
         data.write_text("value\n-1\n2\n3\n")
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"prior": {"alpha0": 1e-300}}))
         kept = tmp_path / "kept"
         kept.mkdir()
-        for out in (tmp_path / "new", tmp_path / "a" / "b", kept):
-            code = main(["fit", "--family", "poisson", "--k", "2", "--data", str(data),
-                         "--iters", "200", "--burnin", "50", "--out", str(out)])
-            assert code == 2
-            assert "nonnegative integers" in capsys.readouterr().err
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "kept"]
+        cases = [
+            (["--family", "poisson"], "nonnegative integers"),
+            (["--family", "gaussian", "--chains", "2", "--config", str(tiny)],
+             "no prior draw of the initial state"),
+        ]
+        for flags, refusal in cases:
+            for out in (tmp_path / "new", tmp_path / "a" / "b", kept):
+                code = main(["fit", *flags, "--k", "2", "--data", str(data),
+                             "--iters", "200", "--burnin", "50", "--out", str(out)])
+                assert code == 2
+                assert refusal in capsys.readouterr().err
+                assert multiprocessing.active_children() == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "kept", "tiny.json"]
         assert not any(kept.iterdir())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_prior_draws_outside_the_support_exit_2(self, tmp_path, capsys, monkeypatch, cpus):
+        # Dirichlet(1e-300) weights fall below MIN_WEIGHT in every draw; this exited 3
+        # with "could not find a finite initial log-posterior"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        data = tmp_path / "data.csv"
+        write_table(data, [("value", np.random.default_rng(1).normal([-8.0, -0.5], 1.0, (25, 2))
+                                      .ravel())])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"prior": {"alpha0": 1e-300}, "run": {
+            "iterations": 200, "burn_in": 50, "n_chains": 2}}))
+        code = main(["fit", "--family", "gaussian", "--k", "2", "--config", str(config),
+                     "--data", str(data), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: no prior draw of the initial state lay inside the support under the prior "
+            "settings {'kind': 'double_uniform', 'alpha0': 1e-300, 'phi_beta': (1.0, 1.0), "
+            "'gamma_dirichlet_alpha': 1.0}: extreme hyperparameters put the draws on its "
+            "boundary (a weight below 1e-12, or a squared radius at 0 or 1)\n")
+        assert multiprocessing.active_children() == []
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, gaussian_config, tmp_path,
+                                                       monkeypatch):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "50",
+              "--seed", "22", "--out", str(data)])
+        names = [f"chain_{i}.csv" for i in range(4)] + ["summary.json", "density.csv"]
+        outputs, workers = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["fit", "--config", str(gaussian_config), "--data", str(data),
+                         "--chains", "4", "--iters", "400", "--burnin", "100",
+                         "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append([(out / name).read_bytes() for name in names])
+            manifest = json.loads((out / "manifest.json").read_text())
+            workers.append(manifest["timings"]["workers"])
+        assert workers == [1, 2]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("family, k, flags", [
         ("gaussian", 3, []), ("gaussian", 2, []), ("gaussian", 2, ["--proposal", "2"]),
@@ -815,3 +879,56 @@ def test_gaussian_and_exponential_fits_and_summarize_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_cli_import_and_one_chain_fit_load_no_process_pool(tmp_path):
+    # the pool's modules cost about 30 ms of import, paid only by fits that use it
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "".join(f"{v}\n" for v in (-4.1, -3.2, 0.3, 1.1, 9.8, 10.4)))
+    argv = ["fit", "--family", "gaussian", "--k", "2", "--data", str(data), "--iters", "100",
+            "--burnin", "10", "--chains", "1", "--out", str(tmp_path / "r")]
+    script = (
+        "import sys\nfrom mixanchor.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+
+
+def test_interrupt_ends_a_pooled_fit_and_its_workers_at_once(tmp_path):
+    # an interrupted worker used to take the next queued chain and run it to the end
+    # (a minute or more per chain here) before the command could exit
+    data = tmp_path / "data.csv"
+    write_table(data, [("value", np.random.default_rng(1).normal([-8.0, -0.5], 1.0, (25, 2))
+                                  .ravel())])
+    out = tmp_path / "r"
+    src = Path(__file__).resolve().parents[1] / "src"
+    fit = subprocess.Popen(
+        [sys.executable, "-m", "mixanchor.cli", "fit", "--family", "gaussian", "--k", "2",
+         "--data", str(data), "--iters", "200000", "--burnin", "10", "--chains", "8",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not out.exists() and fit.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)  # the chains are running
+        start = time.monotonic()
+        os.killpg(fit.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
+        fit.wait(timeout=60.0)
+        assert time.monotonic() - start < 5.0
+        assert fit.returncode != 0
+        assert not out.exists()
+        # nothing is left in the command's process group
+        with pytest.raises(ProcessLookupError):
+            os.killpg(fit.pid, 0)
+    finally:
+        if fit.poll() is None:
+            os.killpg(fit.pid, signal.SIGKILL)
+            fit.wait()

@@ -1,6 +1,8 @@
 """Sampler mechanics: adaptation, proposal corrections, posteriors, diagnostics."""
 
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -36,6 +38,9 @@ from mixanchor.sampler import (
     _logit_walk,
     _mh_step,
     _simplex_log_ratio_walk,
+    _normal_walk,
+    _on,
+    _sample,
 )
 
 from conftest import simulate_gaussian, simulate_poisson_model1, TWO_COMP_TRUTH
@@ -423,6 +428,70 @@ class TestChainMechanics:
             mwg_poisson(
                 Dataset([0.0, 0.0, 0.0]), 2, PriorSpec(), RunConfig(iterations=10, burn_in=0)
             )
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the sampler see ``n`` usable CPUs, and so run up to ``n`` worker processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _column_bits(chain):
+    return [(name, column.tobytes()) for name, column in chain.columns()]
+
+
+class TestParallelChains:
+    @pytest.mark.parametrize("fit", [
+        lambda data: mwg_gaussian_k2(
+            data, PriorSpec(),
+            RunConfig(iterations=400, burn_in=50, n_chains=4, seed=6, proposal=1)),
+        lambda data: mwg_exponential(
+            Dataset(np.abs(data.values)), 2, PriorSpec(),
+            RunConfig(iterations=400, burn_in=50, n_chains=3, seed=6)),
+    ], ids=["gaussian-k2-4-chains", "exponential-3-chains"])
+    def test_chains_do_not_depend_on_the_worker_count(self, monkeypatch, example1_data, fit):
+        results = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            results.append(fit(example1_data))
+            assert multiprocessing.active_children() == []
+        serial, pooled = results
+        assert (serial.workers, pooled.workers) == (1, 2)
+        assert len(serial.chains) == len(pooled.chains) == len(pooled.chain_s)
+        for one, two in zip(serial.chains, pooled.chains):
+            assert _column_bits(one) == _column_bits(two)
+            assert {name: flags.tobytes() for name, flags in one.accepts.items()} == {
+                name: flags.tobytes() for name, flags in two.accepts.items()}
+        assert serial.final_scales == pooled.final_scales
+        assert all(seconds > 0.0 for seconds in serial.chain_s + pooled.chain_s)
+
+    def test_one_process_without_cpu_affinity_or_fork(self, monkeypatch, example1_data):
+        config = RunConfig(iterations=100, burn_in=10, n_chains=2, seed=1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert mwg_gaussian(example1_data, 2, PriorSpec(), config).workers == 1
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert mwg_gaussian(example1_data, 2, PriorSpec(), config).workers == 1
+
+    def test_a_failing_chain_raises_the_same_error_in_a_worker(self, monkeypatch, example1_data):
+        # a toy kernel whose target raises once its walk passes 2, in every chain
+        def target(state):
+            if state["x"] > 2.0:
+                raise OverflowError(f"x = {state['x']!r} passed 2")
+            return -0.5 * state["x"] ** 2
+
+        def build(data, family, k, prior_spec, config):
+            blocks = (_Block("x", _on("x", _normal_walk), "width", 1.0, SCALAR_RATE),)
+            return blocks, target, lambda rng: {"x": 0.0}, lambda s: {"weights": (), "locs": ()}
+
+        config = RunConfig(iterations=5000, burn_in=0, n_chains=4, seed=3)
+        errors = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(OverflowError) as caught:
+                _sample(build, example1_data, "gaussian", 2, PriorSpec(), config)
+            errors.append((type(caught.value), str(caught.value)))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize(
