@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .params import StandardParams
-from .sampler import Chain
+from .sampler import Chain, usable_cpus
 
 __all__ = [
     "DrawMatrix",
@@ -340,11 +340,8 @@ def detect_switching(trace: PermutationTrace) -> SwitchReport:
     distinct = len(np.unique(r, axis=0))
     changed = np.any(r[1:] != r[:-1], axis=1)
     transitions = int(np.sum(changed))
-    longest = 1
-    current = 1
-    for flag in changed:
-        current = 1 if flag else current + 1
-        longest = max(longest, current)
+    run_starts = np.flatnonzero(changed) + 1
+    longest = int(np.max(np.diff(run_starts, prepend=0, append=len(r))))
     return SwitchReport(
         distinct_permutations=distinct,
         transitions=transitions,
@@ -525,51 +522,97 @@ def summarise(draws) -> Summary:
     return Summary(stats=stats)
 
 
+DENSITY_BLOCK_CELLS = 2**17  # (pair, grid point) cells per density block: about 1 MB, L2-sized
+
+
 def density_curve(draws, grid: np.ndarray) -> np.ndarray:
     """Pointwise average of the per-draw mixture densities over ``grid``.
 
-    Draws are taken in chunks of about 10**6 (draw, grid point) cells.  Each
-    chunk's (draws, k, grid) array is created by its first broadcast
-    operation, so numpy gives it the layout of the draw arrays, and is then
-    updated in place; the chunk sums therefore add in a fixed order for
-    C- and for F-ordered draws.  Weights and locations (and scales) are
-    expected in one layout, as every ``DrawMatrix`` built here has them;
-    mixed layouts can change the last bit of the sums.
+    Draws are taken in chunks of about 10**6 (draw, grid point) cells, and
+    each chunk's sum is added to the total in chunk order.  A chunk's
+    (draw, component) pairs are flattened in the order a sum over a chunk
+    array of the draws' layout adds them (draw-major for C-ordered draws,
+    component-major for F-ordered ones) and evaluated in blocks of about
+    ``DENSITY_BLOCK_CELLS`` cells, each block's rows added in turn onto the
+    chunk's running sum.  With two or more chunks and usable CPUs the chunks
+    run on up to one thread per usable CPU, under the caller's numpy error
+    handling, joined before this returns.  The result is therefore bit for
+    bit the sum of the whole per-chunk arrays, whatever the CPU count.  Weights and locations (and scales) are expected
+    in one layout, as every ``DrawMatrix`` built here has them; mixed
+    layouts can change the last bit of the sums.
     """
     dm = _coerce(draws)
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted")
-    total = np.zeros_like(grid)
     chunk = max(1, 10**6 // max(len(grid), 1))
-    g = grid[None, None, :]
-    for lo in range(0, len(dm), chunk):
-        hi = min(lo + chunk, len(dm))
-        w = dm.weights[lo:hi][:, :, None]
-        locs = dm.locs[lo:hi][:, :, None]
+    starts = range(0, len(dm), chunk)
+    if dm.family == "poisson":  # grid holds nonnegative integers
+        from scipy.special import gammaln
+
+        offset = gammaln(grid + 1.0)
+    else:
+        offset = -grid
+    errors = np.geterr()  # a new thread starts from numpy's default error handling
+
+    def chunk_sum(lo):
+        with np.errstate(**errors):
+            return _chunk_density(dm, grid, offset, lo, min(lo + chunk, len(dm)))
+
+    workers = usable_cpus(len(starts))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # leaving the block joins every thread; a chunk's error is raised here
+        with ThreadPoolExecutor(workers) as pool:
+            sums = list(pool.map(chunk_sum, starts))
+    else:
+        sums = map(chunk_sum, starts)
+    total = np.zeros_like(grid)
+    for part in sums:
+        total += part
+    return total / len(dm)
+
+
+def _chunk_density(dm: DrawMatrix, grid: np.ndarray, offset: np.ndarray, lo: int,
+                   hi: int) -> np.ndarray:
+    """Sum over draws ``lo:hi`` of the weighted component densities on
+    ``grid``, adding the terms as ``density_curve`` describes.
+
+    ``offset`` is ``gammaln(grid + 1)`` for a Poisson family and ``-grid``
+    otherwise.
+    """
+    layout = "F" if dm.locs.flags.f_contiguous and not dm.locs.flags.c_contiguous else "C"
+    w, locs = (np.ravel(a[lo:hi], order=layout)[:, None] for a in (dm.weights, dm.locs))
+    if dm.family == "gaussian":
+        s = np.ravel(dm.scales[lo:hi], order=layout)[:, None]
+        norm = s * math.sqrt(2 * math.pi)
+    elif dm.family == "poisson":
+        log_locs = np.log(locs)
+    rows = max(1, DENSITY_BLOCK_CELLS // max(len(grid), 1))
+    buf = np.zeros((min(rows, len(locs)) + 1, len(grid)))  # row 0: the running sum
+    for a in range(0, len(locs), rows):
+        b = min(a + rows, len(locs))
+        dens = buf[1:b - a + 1]
         if dm.family == "gaussian":
-            s = dm.scales[lo:hi][:, :, None]
-            dens = g - locs
-            dens /= s
+            np.subtract(grid, locs[a:b], out=dens)
+            dens /= s[a:b]
             np.square(dens, out=dens)
             dens *= -0.5
             np.exp(dens, out=dens)
-            dens /= s * math.sqrt(2 * math.pi)
+            dens /= norm[a:b]
         elif dm.family == "exponential":
-            dens = (-g) / locs
+            np.divide(offset, locs[a:b], out=dens)
             np.exp(dens, out=dens)
-            dens /= locs
-        else:  # poisson: grid holds nonnegative integers
-            from scipy.special import gammaln
-
-            dens = g * np.log(locs)
-            dens -= locs
-            dens -= gammaln(g + 1.0)
+            dens /= locs[a:b]
+        else:
+            np.multiply(grid, log_locs[a:b], out=dens)
+            dens -= locs[a:b]
+            dens -= offset
             np.exp(dens, out=dens)
-        dens *= w
-        total += np.sum(dens, axis=(0, 1))
-        del dens
-    return total / len(dm)
+        dens *= w[a:b]
+        buf[0] = np.add.reduce(buf[:b - a + 1], axis=0)
+    return buf[0].copy()  # frees the block buffer
 
 
 def mcse_mean(x: np.ndarray, n_batches: int = 30) -> float:

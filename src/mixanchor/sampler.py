@@ -442,19 +442,25 @@ def _chain_job(i: int, job=None) -> tuple:
     return chain, scales, time.perf_counter() - start
 
 
+def usable_cpus(n: int) -> int:
+    """``min(n, CPUs this process may run on)``; 1 where CPU affinity is unknown."""
+    try:
+        return min(n, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no CPU affinity on this platform
+        return 1
+
+
 def _run_chains(job) -> tuple:
     """Every chain of ``job`` in chain order, and the number of processes used.
 
     Workers inherit ``job`` through the pool's initializer, so only chain
-    indices and results are pickled.  Forking is safe here: the sampler
-    starts no thread, and the pool forks every worker before it starts its
-    own.  The pool is imported only when it is used.
+    indices and results are pickled.  Forking is safe here: no thread of
+    this package is alive when the pool forks (``postprocess.density_curve``
+    joins its threads before it returns), and the pool forks every worker
+    before it starts its own.  The pool is imported only when it is used.
     """
     n_chains = len(job[-1])  # one spawned seed per chain
-    try:
-        workers = min(n_chains, len(os.sched_getaffinity(0)))
-    except AttributeError:  # no CPU affinity on this platform
-        workers = 1
+    workers = usable_cpus(n_chains)
     if workers > 1:
         import multiprocessing
 

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixanchor import StandardParams
+from mixanchor import StandardParams, postprocess
 from mixanchor.chainio import chain_from_csv
 from mixanchor.likelihood import Dataset
 from mixanchor.postprocess import (
+    DENSITY_BLOCK_CELLS,
     DrawMatrix,
     PermutationTrace,
     _d2_seeds,
@@ -180,6 +183,24 @@ class TestDetectSwitching:
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             PermutationTrace(np.array([[0, 0]]))
+
+    def test_longest_run_matches_the_flag_loop(self):
+        def loop_longest(r):
+            longest = current = 1
+            for flag in np.any(r[1:] != r[:-1], axis=1):
+                current = 1 if flag else current + 1
+                longest = max(longest, current)
+            return longest
+
+        rng = np.random.default_rng(17)
+        perms = np.array(list(itertools.permutations(range(3))))
+        traces = [perms[[0]], np.tile(perms[2], (40, 1)), perms[np.arange(60) % 2]]
+        for _ in range(50):
+            T = int(rng.integers(1, 200))
+            # runs of random length, drawn from few permutations so neighbours often repeat
+            traces.append(perms[np.repeat(rng.integers(0, 3, T), rng.integers(1, 9, T))])
+        for r in traces:
+            assert detect_switching(PermutationTrace(r)).longest_constant_run == loop_longest(r)
 
 
 class TestKmeans:
@@ -684,4 +705,63 @@ class TestDensityParity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 50e6
+        assert peak <= 8e6
+
+    @pytest.mark.parametrize("size", ["one draw", "block - 1", "block", "block + 1", "chunk",
+                                      "chunk + 1", "3 chunks + 17"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "poisson"])
+    def test_same_bytes_for_every_cpu_count(self, family, layout, size, monkeypatch):
+        rng = np.random.default_rng(18)
+        k, n_grid = 4, 512
+        block = DENSITY_BLOCK_CELLS // n_grid // k  # draws per block
+        chunk = 10**6 // n_grid
+        T = {"one draw": 1, "block - 1": block - 1, "block": block, "block + 1": block + 1,
+             "chunk": chunk, "chunk + 1": chunk + 1, "3 chunks + 17": 3 * chunk + 17}[size]
+        weights = rng.dirichlet(np.ones(k), T)
+        if family == "gaussian":
+            locs = rng.normal(0.0, 3.0, (T, k))
+            scales = np.exp(rng.normal(0.0, 0.3, (T, k)))
+            grid = np.linspace(-12.0, 12.0, n_grid)
+        else:
+            locs = np.exp(rng.normal(1.0, 0.5, (T, k)))
+            scales = None
+            grid = np.arange(float(n_grid)) if family == "poisson" else np.linspace(0.0, 30.0, n_grid)
+        order = np.ascontiguousarray if layout == "C" else np.asfortranarray
+        dm = make_draws(order(locs), None if scales is None else order(scales),
+                        order(weights), family=family)
+        expected = reference_density(dm, grid).tobytes()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            assert density_curve(dm, grid).tobytes() == expected, cpus
+
+    def test_chunk_error_reaches_the_caller_and_threads_end(self, monkeypatch):
+        chunk_density = postprocess._chunk_density
+        threads = set()
+
+        def failing(dm, grid, offset, lo, hi):
+            threads.add(threading.get_ident())
+            if lo > 0:
+                raise FloatingPointError(f"chunk at draw {lo} failed")
+            return chunk_density(dm, grid, offset, lo, hi)
+
+        monkeypatch.setattr(postprocess, "_chunk_density", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(19)
+        T = 2 * (10**6 // 512) + 1  # three chunks
+        dm = make_draws(rng.normal(size=(T, 2)))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="^chunk at draw 1953 failed$"):
+            density_curve(dm, np.linspace(-4.0, 4.0, 512))
+        assert threading.active_count() == before
+        assert threading.get_ident() not in threads
+
+    def test_threads_keep_the_callers_error_handling(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        T = 2 * (10**6 // 512) + 1  # three chunks
+        scales = np.ones((T, 2))
+        scales[-1, 0] = 0.0  # its density divides by zero in the last chunk
+        dm = make_draws(np.zeros((T, 2)), scales)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
+            density_curve(dm, np.linspace(-4.0, 4.0, 512))
