@@ -46,6 +46,7 @@ def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     A chain with a ``mu`` column is Gaussian.  ``poisson`` and
     ``exponential`` chains share one schema, so a rate chain read without
     ``family`` is refused: pass it explicitly or read it from the run manifest.
+    A ``family`` that the columns contradict is refused too.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split(",")
@@ -70,10 +71,13 @@ def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:
     if fields["weights"] is None or fields["locs"] is None:
         raise ValueError("chain CSV must carry weight and location columns")
     is_gaussian = fields["mu"] is not None
-    family = family or ("gaussian" if is_gaussian else None)
-    if family is None:
+    if family is None and not is_gaussian:
         raise ValueError(f"{path} holds a rate chain, poisson or exponential; "
                          "name its family with --family or --manifest")
+    if family is not None and (family == "gaussian") != is_gaussian:
+        held = "a gaussian chain (it has a mu column)" if is_gaussian else "a rate chain"
+        raise ValueError(f"{path} holds {held}, not a {family} one")
+    family = family or "gaussian"
     if is_gaussian and fields["varpi"] is None:
         fields["varpi"] = np.zeros((len(rows), 0))
     accepts = {

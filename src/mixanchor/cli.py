@@ -293,14 +293,21 @@ def cmd_prior_sample(args) -> int:
     prior = _section(cfg, "prior", PriorSpec, kind=args.kind)
     if args.n < 0:
         raise ValueError(f"prior-sample needs --n >= 0, got {args.n}")
-    if args.quantiles and family != "gaussian":
-        raise ValueError(f"--quantiles studies the gaussian prior only, not {family!r}")
+    if args.quantiles:
+        if family != "gaussian":
+            raise ValueError(f"--quantiles studies the gaussian prior only, not {family!r}")
+        try:
+            levels = [float(q) for q in args.quantiles.split(",")]
+            if not all(0.0 < q < 1.0 for q in levels):
+                raise ValueError
+        except ValueError:
+            raise ValueError("--quantiles needs comma-separated levels strictly inside (0, 1), "
+                             f"got {args.quantiles!r}") from None
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)
     write_table(out, list(chain_columns(draws)), integers={"phi_sign"})
     if args.quantiles:
-        levels = [float(q) for q in args.quantiles.split(",")]
         table = prior_quantile_study(prior, k, args.n, levels, seed)
         qpath = args.quantile_out or str(out.with_name(out.stem + "_quantiles.csv"))
         write_table(qpath, [(f"q{level}", table[:, j]) for j, level in enumerate(levels)])
@@ -321,6 +328,12 @@ def cmd_summarize(args) -> int:
     if not args.data:
         raise ValueError("summarize needs at least one chain CSV via --data")
     chains = [chain_from_csv(path, family=family, burn_in=burn_in or 0) for path in args.data]
+    first = chains[0]
+    for path, chain in zip(args.data, chains):
+        if (chain.family, chain.k) != (first.family, first.k):
+            raise ValueError(f"{path} holds a {chain.family} chain with k = {chain.k}, but "
+                             f"{args.data[0]} a {first.family} one with k = {first.k}: "
+                             "summarize pools chains of one family and k")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_summary(pool_draws(chains), out_dir)

@@ -38,7 +38,10 @@ from .priors import (  # noqa: F401
     log_varpi_density,
     log_xi_density,
 )
-from .transforms import _direction_from_angles, standard_arrays_from_angular  # noqa: F401
+from .transforms import (  # noqa: F401
+    _eta, _gamma, _k2_angles, _over_sqrt_p, _radius, _rates, _unit_vector, _weight_pair,
+    standard_arrays_from_angular,
+)
 
 __all__ = [
     "Dataset",
@@ -295,32 +298,6 @@ def _on_simplex(weights: np.ndarray) -> bool:
     return abs(float(np.sum(weights)) - 1.0) <= 1e-9
 
 
-# The pieces of ``transforms.standard_arrays_from_angular``, with its float
-# operations in its order, so that the cached values match it to the bit.
-
-
-def _unit_vector(angles: np.ndarray) -> np.ndarray:
-    return _direction_from_angles(angles, len(angles) + 1)
-
-
-def _gamma(phi_sq: float, phi_sign: int, varpi_direction: np.ndarray, basis: np.ndarray):
-    # k = 2 has a single basis row and a signed radius
-    radius = phi_sign * math.sqrt(phi_sq) if len(basis) == 1 else math.sqrt(phi_sq)
-    return radius * (varpi_direction @ basis)
-
-
-def _eta(phi_sq: float, xi_direction: np.ndarray) -> np.ndarray:
-    return math.sqrt(1.0 - phi_sq) * xi_direction
-
-
-def _over_sqrt_p(scale: float, v: np.ndarray, sqrt_p: np.ndarray) -> np.ndarray:
-    return scale * v / sqrt_p
-
-
-def _rates(lam: float, gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return lam * gamma / weights
-
-
 def _rate_logpost(
     data: Dataset,
     spec: PriorSpec,
@@ -390,7 +367,8 @@ def _gaussian_logpost(
     sqrt_p = _cached(c, "sqrt_p", np.sqrt, weights)
     basis = _cached(c, "basis", transforms.basis_rows, weights)
     varpi_direction = _cached(c, "varpi_direction", _unit_vector, varpi)
-    gamma = _cached(c, "gamma", _gamma, phi_sq, phi_sign, varpi_direction, basis)
+    radius = _cached(c, "radius", _radius, phi_sq, phi_sign, k)
+    gamma = _cached(c, "gamma", _gamma, radius, varpi_direction, basis)
     eta = _cached(c, "eta", _eta, phi_sq, _cached(c, "xi_direction", _unit_vector, xi))
     offsets = _cached(c, "loc_offsets", _over_sqrt_p, sigma, gamma, sqrt_p)
     locs = _cached(c, "locs", operator.add, mu, offsets)
@@ -401,19 +379,6 @@ def _gaussian_logpost(
 
 _NO_VARPI = np.empty(0)  # the location angles of a two-component state: none
 _NO_VARPI.flags.writeable = False
-
-
-def _weight_pair(p1: float) -> np.ndarray:
-    return np.array([p1, 1.0 - p1])
-
-
-def _k2_angles(v: np.ndarray) -> tuple:
-    """``(phi_sq, xi, log|d eta1_sq / d xi|)`` of a two-component scale simplex
-    ``v = (phi_sq, eta1_sq, eta2_sq)``, where ``eta1_sq = (1 - phi_sq) cos^2 xi``."""
-    phi_sq = float(v[0])
-    xi = math.atan2(math.sqrt(v[2]), math.sqrt(v[1]))
-    log_jacobian = math.log(2.0 * (1.0 - phi_sq) * math.cos(xi) * math.sin(xi))
-    return phi_sq, np.array([xi]), log_jacobian
 
 
 def _k2_logpost(data: Dataset, spec: PriorSpec, mu: float, sigma: float, p1: float,

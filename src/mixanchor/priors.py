@@ -28,7 +28,7 @@ from .params import (
     MIN_WEIGHT,
     RateState,
 )
-from .transforms import standard_arrays_from_angular
+from .transforms import _angles_from_unit_rows, standard_arrays_from_angular
 
 __all__ = [
     "PriorSpec",
@@ -143,17 +143,6 @@ def sample_varpi(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     return varpi
 
 
-def _xi_from_unit_eta_rows(direction: np.ndarray) -> np.ndarray:
-    """Row-wise inverse spherical angles of nonnegative unit vectors."""
-    n, k = direction.shape
-    tail_sq = np.cumsum(direction[:, ::-1] ** 2, axis=1)[:, ::-1]
-    xi = np.empty((n, k - 1))
-    for j in range(k - 2):
-        xi[:, j] = np.arctan2(np.sqrt(tail_sq[:, j + 1]), direction[:, j])
-    xi[:, k - 2] = np.arctan2(direction[:, k - 1], direction[:, k - 2])
-    return xi
-
-
 def sample_prior(spec: PriorSpec, k: int, family: str, n_draws: int, seed=0):
     """Draw the compact block of parameters from the prior.
 
@@ -185,7 +174,7 @@ def sample_prior(spec: PriorSpec, k: int, family: str, n_draws: int, seed=0):
         # squared scale coordinates uniform on the simplex, then re-expressed
         # through their angles so both prior kinds share one representation
         u = rng.dirichlet(np.ones(k), size=n_draws)
-        xi = _xi_from_unit_eta_rows(np.sqrt(u))
+        xi = _angles_from_unit_rows(np.sqrt(u), full_circle=False)
     return AngularPriorDraws(
         weights=weights, phi_sq=phi_sq, phi_sign=sign, varpi=varpi, xi=xi
     )
@@ -321,7 +310,7 @@ def mixture_normal_quantiles(
         bound = 1.0 / math.sqrt(min(q, 1.0 - q)) + 1.0
         lo = np.full(n, -bound)
         hi = np.full(n, bound)
-        while np.max(hi - lo) > tol:
+        while np.max(hi - lo, initial=0.0) > tol:
             mid = 0.5 * (lo + hi)
             z = (mid[:, None] - locs) / safe_scales
             cdf = np.sum(weights * ndtr(z), axis=1)

@@ -44,6 +44,7 @@ import numpy as np
 from .likelihood import Dataset, _gaussian_logpost, _k2_logpost, _rate_logpost
 from .params import MIN_WEIGHT
 from .priors import PriorSpec, _betaln, sample_prior, sample_varpi
+from .transforms import _k2_simplex
 # not called here: the layer tracer of ``bench/spans.py`` wraps them under these names
 from .likelihood import loglik_gaussian_arrays  # noqa: F401
 from .priors import _log_beta, _log_dirichlet  # noqa: F401
@@ -637,15 +638,11 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
 
     def init(rng):
         draws = sample_prior(prior_spec, 2, "gaussian", 1, rng)
-        phi_sq = float(draws.phi_sq[0])
-        xi1 = float(draws.xi[0, 0])
-        one_minus = 1.0 - phi_sq
-        v = np.array([phi_sq, one_minus * math.cos(xi1) ** 2, one_minus * math.sin(xi1) ** 2])
         return {
             "mu": xbar,
             "sigma": math.sqrt(svar),
             "p1": float(draws.weights[0, 0]),
-            "v": v,
+            "v": _k2_simplex(float(draws.phi_sq[0]), float(draws.xi[0, 0])),
             "sign": int(draws.phi_sign[0]),
             "cache": {},
         }

@@ -150,31 +150,76 @@ def build_basis(p: np.ndarray) -> OrthonormalBasis:
     return OrthonormalBasis(vectors=basis_rows(np.asarray(p, dtype=float)))
 
 
-def _direction_from_angles(angles: np.ndarray, dim: int) -> np.ndarray:
-    """Unit vector of R^dim with nested spherical angles (dim-1 of them)."""
-    d = np.empty(dim)
+def _unit_vector(angles: np.ndarray) -> np.ndarray:
+    """Unit vector with nested spherical angles, one entry more than there are angles."""
+    d = np.empty(len(angles) + 1)
     running = 1.0
-    for j in range(dim - 1):
-        d[j] = running * math.cos(angles[j])
-        running *= math.sin(angles[j])
-    d[dim - 1] = running
+    for j, angle in enumerate(angles):
+        d[j] = running * math.cos(angle)
+        running *= math.sin(angle)
+    d[-1] = running
     return d
 
 
-def _angles_from_direction(d: np.ndarray, last_full_circle: bool) -> np.ndarray:
-    """Invert :func:`_direction_from_angles`; ties at poles resolve to 0."""
-    dim = len(d)
-    angles = np.empty(dim - 1)
-    tail_sq = np.cumsum(d[::-1] ** 2)[::-1]
+def _angles_from_unit_rows(rows: np.ndarray, full_circle: bool) -> np.ndarray:
+    """Invert :func:`_unit_vector` on each row of ``rows`` (n, dim); ties at poles
+    resolve to 0.  With ``full_circle`` a negative last angle moves up by ``2 pi``
+    (a ``-0.0`` stays)."""
+    n, dim = rows.shape
+    angles = np.empty((n, dim - 1))
+    tail_sq = np.cumsum(rows[:, ::-1] ** 2, axis=1)[:, ::-1]
     for j in range(dim - 2):
-        angles[j] = math.atan2(math.sqrt(tail_sq[j + 1]), d[j])
+        angles[:, j] = np.arctan2(np.sqrt(tail_sq[:, j + 1]), rows[:, j])
     if dim >= 2:
-        last = math.atan2(d[dim - 1], d[dim - 2])
-        if last_full_circle:
-            if last < 0:
-                last += 2 * math.pi
-        angles[dim - 2] = last
+        last = np.arctan2(rows[:, dim - 1], rows[:, dim - 2])
+        if full_circle:
+            last[last < 0] += 2 * math.pi
+        angles[:, dim - 2] = last
     return angles
+
+
+# The pieces of :func:`standard_arrays_from_angular` (and of the rate map); the
+# cached targets of ``likelihood`` call them one by one, so their values match to the bit.
+
+
+def _radius(phi_sq: float, phi_sign: int, k: int) -> float:
+    # k = 2 has a signed radius
+    return phi_sign * math.sqrt(phi_sq) if k == 2 else math.sqrt(phi_sq)
+
+
+def _gamma(radius: float, varpi_direction: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    return radius * (varpi_direction @ basis)
+
+
+def _eta(phi_sq: float, xi_direction: np.ndarray) -> np.ndarray:
+    return math.sqrt(1.0 - phi_sq) * xi_direction
+
+
+def _over_sqrt_p(scale: float, v: np.ndarray, sqrt_p: np.ndarray) -> np.ndarray:
+    return scale * v / sqrt_p
+
+
+def _rates(lam: float, gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return lam * gamma / weights
+
+
+def _weight_pair(p1: float) -> np.ndarray:
+    return np.array([p1, 1.0 - p1])
+
+
+def _k2_angles(v: np.ndarray) -> tuple:
+    """``(phi_sq, xi, log|d eta1_sq / d xi|)`` of a two-component scale simplex
+    ``v = (phi_sq, eta1_sq, eta2_sq)``, where ``eta1_sq = (1 - phi_sq) cos^2 xi``."""
+    phi_sq = float(v[0])
+    xi = math.atan2(math.sqrt(v[2]), math.sqrt(v[1]))
+    log_jacobian = math.log(2.0 * (1.0 - phi_sq) * math.cos(xi) * math.sin(xi))
+    return phi_sq, np.array([xi]), log_jacobian
+
+
+def _k2_simplex(phi_sq: float, xi: float) -> np.ndarray:
+    """Inverse of :func:`_k2_angles`: the scale simplex ``v`` at ``phi_sq`` and ``xi``."""
+    one_minus = 1.0 - phi_sq
+    return np.array([phi_sq, one_minus * math.cos(xi) ** 2, one_minus * math.sin(xi) ** 2])
 
 
 def gamma_from_angles(phi: float, varpi: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -192,9 +237,7 @@ def gamma_from_angles(phi: float, varpi: np.ndarray, p: np.ndarray) -> np.ndarra
         raise ValueError(f"expected {k - 2} angles, got {len(varpi)}")
     if abs(phi) > 1 + CONSTRAINT_TOL:
         raise ValueError("|phi| must not exceed 1")
-    basis = basis_rows(p)
-    direction = _direction_from_angles(varpi, k - 1)
-    return phi * (direction @ basis)
+    return _gamma(phi, _unit_vector(varpi), basis_rows(p))
 
 
 def angles_from_gamma(gamma: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -217,8 +260,7 @@ def angles_from_gamma(gamma: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarr
     phi = float(np.linalg.norm(coef))
     if phi == 0.0:
         return 0.0, np.zeros(k - 2)
-    varpi = _angles_from_direction(coef / phi, last_full_circle=True)
-    return phi, varpi
+    return phi, _angles_from_unit_rows((coef / phi)[None, :], full_circle=True)[0]
 
 
 def eta_from_angles(phi_sq: float, xi: np.ndarray) -> np.ndarray:
@@ -233,8 +275,7 @@ def eta_from_angles(phi_sq: float, xi: np.ndarray) -> np.ndarray:
         raise ValueError("phi_sq must lie in [0, 1]")
     if np.any(xi < 0) or np.any(xi > math.pi / 2):
         raise ValueError("xi angles must lie in [0, pi/2]")
-    r = math.sqrt(1.0 - phi_sq)
-    return r * _direction_from_angles(xi, len(xi) + 1)
+    return _eta(phi_sq, _unit_vector(xi))
 
 
 def angles_from_eta(eta: np.ndarray, phi_sq: float) -> np.ndarray:
@@ -248,7 +289,7 @@ def angles_from_eta(eta: np.ndarray, phi_sq: float) -> np.ndarray:
     r = math.sqrt(max(1.0 - phi_sq, 0.0))
     if r == 0.0 or not np.any(eta > 0):
         return np.zeros(len(eta) - 1)
-    return _angles_from_direction(eta / r, last_full_circle=False)
+    return _angles_from_unit_rows((eta / r)[None, :], full_circle=False)[0]
 
 
 def standard_from_angular(g: GlobalMoments, p: np.ndarray, a: AngularCoords) -> StandardParams:
@@ -278,14 +319,10 @@ def standard_arrays_from_angular(
     objects; boundary states (a zero eta entry) come through as zero scales
     for the caller to handle.
     """
-    k = len(p)
-    radius = phi_sign * math.sqrt(phi_sq) if k == 2 else math.sqrt(phi_sq)
-    gamma = gamma_from_angles(radius, varpi, p)
+    gamma = gamma_from_angles(_radius(phi_sq, phi_sign, len(p)), varpi, p)
     eta = eta_from_angles(phi_sq, xi)
-    sq = np.sqrt(p)
-    locs = mu + sigma * gamma / sq
-    scales = sigma * eta / sq
-    return locs, scales, p
+    sqrt_p = np.sqrt(p)
+    return mu + _over_sqrt_p(sigma, gamma, sqrt_p), _over_sqrt_p(sigma, eta, sqrt_p), p
 
 
 def angular_from_standard(

@@ -646,14 +646,26 @@ class TestPriorSampleAndSummarize:
     @pytest.mark.parametrize("argv, named", [
         (["--family", "gaussian", "--n", "-3"], "--n >= 0, got -3"),
         (["--family", "poisson", "--n", "5", "--quantiles", "0.5"], "gaussian prior only"),
-    ], ids=["negative-n", "rate-quantiles"])
+        (["--family", "gaussian", "--n", "5", "--quantiles", "1.5"], "--quantiles"),
+        (["--family", "gaussian", "--n", "5", "--quantiles", "0.5,abc"], "--quantiles"),
+    ], ids=["negative-n", "rate-quantiles", "level-above-one", "level-not-a-number"])
     def test_prior_sample_refuses_bad_flags(self, tmp_path, capsys, argv, named):
-        # a negative --n ended in numpy's "negative dimensions", and a rate
-        # family's quantile study sampled the gaussian prior
+        # a negative --n ended in numpy's "negative dimensions", a rate family's
+        # quantile study sampled the gaussian prior, and bad levels were refused
+        # only after the draws table was written, "abc" without naming the flag
         out = tmp_path / "prior.csv"
         assert main(["prior-sample", "--k", "2", *argv, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_draws_give_header_only_tables(self, tmp_path):
+        # --n 0 with --quantiles ended in "zero-size array to reduction operation"
+        out = tmp_path / "prior.csv"
+        assert main(["prior-sample", "--family", "gaussian", "--k", "3", "--n", "0",
+                     "--out", str(out), "--quantiles", "0.5,0.9"]) == 0
+        assert read_rows(out) == [["p1", "p2", "p3", "phi_sq", "phi_sign", "xi1", "xi2",
+                                   "varpi1"]]
+        assert read_rows(tmp_path / "prior_quantiles.csv") == [["q0.5", "q0.9"]]
 
     @pytest.mark.parametrize("k", [2.7, True, "3", 1])
     def test_prior_sample_refuses_non_integer_k(self, tmp_path, capsys, k):
@@ -739,6 +751,12 @@ def gaussian_run(tmp_path_factory):
     return _fit_one_chain(tmp_path_factory.mktemp("gaussian"), "gaussian")
 
 
+@pytest.fixture(scope="module")
+def exponential_run(tmp_path_factory):
+    """One 200-sweep exponential chain with burn-in 50, shared by the refusal tests."""
+    return _fit_one_chain(tmp_path_factory.mktemp("exponential"), "exponential")
+
+
 class TestSummarizeRefusals:
     @pytest.mark.parametrize("manifest, named", [
         pytest.param(manifest, named, id=name) for name, manifest, named in MALFORMED_MANIFESTS
@@ -776,6 +794,40 @@ class TestSummarizeRefusals:
         assert main(["summarize", "--data", str(run / "chain_0.csv"), "--manifest",
                      str(run / "manifest.json"), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["family"] == "exponential"
+
+    @pytest.mark.parametrize("order, family, refused", [
+        (("gaussian",), "exponential", "gaussian"),
+        (("exponential",), "gaussian", "exponential"),
+        (("exponential", "gaussian"), "exponential", "gaussian"),
+    ], ids=["gaussian-as-exponential", "exponential-as-gaussian", "mixed-pair"])
+    def test_family_contradicting_the_columns_refused(self, gaussian_run, exponential_run,
+                                                      tmp_path, capsys, order, family, refused):
+        # the first and last were summarised (the pair with 396 non-finite
+        # densities in 512), the second ended in a TypeError traceback
+        runs = {"gaussian": gaussian_run, "exponential": exponential_run}
+        chains = [str(runs[name] / "chain_0.csv") for name in order]
+        out = tmp_path / "s"
+        assert main(["summarize", "--data", *chains, "--family", family,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        held = "a gaussian chain" if refused == "gaussian" else "a rate chain"
+        assert f"{runs[refused] / 'chain_0.csv'} holds {held}" in err
+        assert f"not a {family} one" in err
+        assert not out.exists()
+
+    def test_chains_of_different_k_refused(self, gaussian_run, tmp_path, capsys):
+        # numpy's "all the input array dimensions ... must match" left an empty --out
+        run3 = tmp_path / "run3"
+        assert main(["fit", "--family", "gaussian", "--k", "3", "--data",
+                     str(gaussian_run.parent / "data.csv"), "--iters", "60", "--burnin", "10",
+                     "--chains", "1", "--seed", "9", "--out", str(run3)]) == 0
+        first, second = gaussian_run / "chain_0.csv", run3 / "chain_0.csv"
+        out = tmp_path / "s"
+        assert main(["summarize", "--data", str(first), str(second), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{second} holds a gaussian chain with k = 3, but {first}" in err
+        assert "k = 2" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_log_posterior_is_not_the_map_draw(self, tmp_path, capsys, value):

@@ -280,3 +280,47 @@ def test_k2_target_matches_the_term_by_term_formula(kind, sign):
         assert_k2_close(value, reference, v)
         finite += math.isfinite(reference)
     assert finite > 900
+
+
+def closed_form_k3(mu, sigma, p, phi_sq, varpi, xi):
+    """Component locations and scales of a three-component state, written out.
+
+    The hyperplane basis is the one of ``transforms.build_basis``'s docstring,
+    ``F_1 = (-sqrt(p_2), sqrt(p_1), 0) / sqrt(p_1 + p_2)`` and
+    ``F_2 = (-sqrt(p_1 p_3), -sqrt(p_2 p_3), p_1 + p_2) / sqrt(p_1 + p_2)``;
+    ``gamma = phi (cos varpi F_1 + sin varpi F_2)`` and
+    ``eta = sqrt(1 - phi^2) (cos xi_1, sin xi_1 cos xi_2, sin xi_1 sin xi_2)``.
+    """
+    p1, p2, p3 = p
+    head = math.sqrt(p1 + p2)
+    f1 = np.array([-math.sqrt(p2), math.sqrt(p1), 0.0]) / head
+    f2 = np.array([-math.sqrt(p1 * p3), -math.sqrt(p2 * p3), p1 + p2]) / head
+    gamma = math.sqrt(phi_sq) * (math.cos(varpi) * f1 + math.sin(varpi) * f2)
+    x1, x2 = xi
+    eta = math.sqrt(1.0 - phi_sq) * np.array(
+        [math.cos(x1), math.sin(x1) * math.cos(x2), math.sin(x1) * math.sin(x2)]
+    )
+    return mu + sigma * gamma / np.sqrt(p), sigma * eta / np.sqrt(p)
+
+
+def test_k3_locations_and_scales_match_the_closed_form():
+    # the cached target and standard_arrays_from_angular run the same pieces of
+    # transforms, so this written-out map is their independent reference
+    rng = np.random.default_rng(29)
+    data = Dataset(rng.normal(0.0, 3.0, 20))
+    spec = PriorSpec()
+    for _ in range(300):
+        weights = rng.dirichlet(np.full(3, 3.0))
+        mu, sigma = rng.normal(0.0, 5.0), math.exp(rng.normal(0.0, 1.0))
+        phi_sq = rng.uniform(0.0, 1.0)
+        varpi = np.array([rng.uniform(0.0, 2 * math.pi)])
+        xi = rng.uniform(0.0, math.pi / 2, size=2)
+        want_locs, want_scales = closed_form_k3(mu, sigma, weights, phi_sq, varpi[0], xi)
+        locs, scales, _ = standard_arrays_from_angular(mu, sigma, weights, phi_sq, 1, varpi, xi)
+        cache = {}
+        assert math.isfinite(_gaussian_logpost(data, spec, mu, sigma, weights, phi_sq, 1,
+                                               varpi, xi, cache))
+        for got in (locs, cache["locs"][1]):
+            np.testing.assert_allclose(got, want_locs, rtol=1e-12, atol=1e-12)
+        for got in (scales, cache["scales"][1]):
+            np.testing.assert_allclose(got, want_scales, rtol=1e-12, atol=1e-12)

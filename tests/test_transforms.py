@@ -24,6 +24,7 @@ from mixanchor import (
     to_alpha_tau,
     to_gamma_eta,
 )
+from mixanchor.transforms import _angles_from_unit_rows, _unit_vector
 
 # Two well-separated components used throughout: weights (0.65, 0.35),
 # means (-8, -0.5), standard deviations (2, 1).
@@ -347,6 +348,52 @@ def _random_varpi(rng, k):
     varpi = rng.uniform(0, math.pi, size=k - 2)
     varpi[-1] = rng.uniform(0, 2 * math.pi)
     return varpi
+
+
+def frozen_angles_from_direction(d, last_full_circle):
+    """The scalar inverse angle map as it stood before the row-wise one replaced
+    it, kept as a reference: ``math.atan2`` entry by entry."""
+    dim = len(d)
+    angles = np.empty(dim - 1)
+    tail_sq = np.cumsum(d[::-1] ** 2)[::-1]
+    for j in range(dim - 2):
+        angles[j] = math.atan2(math.sqrt(tail_sq[j + 1]), d[j])
+    if dim >= 2:
+        last = math.atan2(d[dim - 1], d[dim - 2])
+        if last_full_circle:
+            if last < 0:
+                last += 2 * math.pi
+        angles[dim - 2] = last
+    return angles
+
+
+class TestInverseAngleMap:
+    @pytest.mark.parametrize("full_circle", [True, False])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_rows_match_the_scalar_reference_within_two_ulp(self, dim, full_circle):
+        rng = np.random.default_rng(31 + dim)
+        rows = rng.standard_normal((2000, dim))
+        if not full_circle:
+            rows = np.abs(rows)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        got = _angles_from_unit_rows(rows, full_circle)
+        want = np.array([frozen_angles_from_direction(row, full_circle) for row in rows])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        np.testing.assert_allclose(
+            np.array([_unit_vector(a) for a in got]), rows, rtol=0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("full_circle", [True, False])
+    def test_poles_and_signed_zeros_match_exactly(self, full_circle):
+        rows = [np.eye(4)[j] for j in range(4)] + [-np.eye(4)[j] for j in range(4)]
+        rows += [np.array(r) for r in ([1.0, -0.0], [-1.0, -0.0], [-1.0, 0.0], [0.0, -1.0],
+                                       [0.0, 0.0, 1.0, -0.0], [0.6, 0.8, -0.0])]
+        for row in rows:
+            got = _angles_from_unit_rows(row[None, :], full_circle)[0]
+            want = frozen_angles_from_direction(row, full_circle)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestParamsRefuseNaN:
