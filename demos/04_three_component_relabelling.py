@@ -12,9 +12,9 @@ import numpy as np
 from mixanchor.likelihood import Dataset
 from mixanchor.postprocess import (
     detect_switching,
-    draws_from_chain,
     find_map,
     kmeans_summary,
+    pool_draws,
     relabel_map,
 )
 from mixanchor.priors import PriorSpec
@@ -33,7 +33,7 @@ weight_means = [chain.post_burn(f"p{i+1}").mean() for i in range(3)]
 print(f"\npre-relabel weight means: {np.round(weight_means, 3)}")
 print("(all close to 1/3: the chain hops freely between the 6 symmetric modes)")
 
-draws = draws_from_chain(chain)
+draws = pool_draws([chain])
 map_params, map_index = find_map(draws)
 relabelled, trace = relabel_map(draws, map_params)
 report = detect_switching(trace)
@@ -46,7 +46,7 @@ print(f"  location medians: {np.round(np.median(relabelled.locs, axis=0)[order],
 print(f"  scale medians:    {np.round(np.median(relabelled.scales, axis=0)[order], 3)}")
 print(f"  weight medians:   {np.round(np.median(relabelled.weights, axis=0)[order], 3)}")
 
-km = kmeans_summary(draws, 3, seed=1)
+km = kmeans_summary(draws, seed=1)
 print("\nk-means over the pooled (loc, scale, weight) points:")
 print(f"  columns: {km['columns']}")
 print(f"  within-cluster medians:\n{np.round(km['medians'], 3)}")

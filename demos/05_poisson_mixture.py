@@ -9,7 +9,7 @@ both simplexes move through offset Dirichlet proposals.
 import numpy as np
 
 from mixanchor.likelihood import Dataset
-from mixanchor.postprocess import draws_from_chain, find_map, relabel_map
+from mixanchor.postprocess import find_map, pool_draws, relabel_map
 from mixanchor.priors import PriorSpec
 from mixanchor.sampler import RunConfig, mwg_poisson
 
@@ -26,7 +26,7 @@ chain = result.chains[0]
 lam = chain.post_burn("lam")
 print(f"\nglobal mean posterior: mean {lam.mean():.4f}, sd {lam.std():.4f}")
 
-draws = draws_from_chain(chain)
+draws = pool_draws([chain])
 map_params, _ = find_map(draws)
 relabelled, _ = relabel_map(draws, map_params)
 order = np.argsort(np.median(relabelled.locs, axis=0))

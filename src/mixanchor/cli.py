@@ -8,6 +8,7 @@ implicit.  Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -82,6 +83,24 @@ def _component_count(cfg: dict, args, default=None) -> int:
     return k
 
 
+@contextlib.contextmanager
+def _removed_on_failure(*paths):
+    """Run the block; if it raises, remove what of ``paths`` and their parents
+    did not exist before it, deepest first: files, and directories only while
+    they are empty, so a table already written into one is kept."""
+    made = {p for path in map(Path, paths) for p in (path, *path.parents) if not p.exists()}
+    try:
+        yield
+    except BaseException:
+        for path in sorted(made, key=lambda p: len(p.parts), reverse=True):
+            with contextlib.suppress(OSError):  # never made, or a directory not empty
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
+
+
 def _read_data_csv(path) -> Dataset:
     """One observation per non-empty line; only the first such line may be a header."""
     values = []
@@ -154,15 +173,11 @@ def _summary_payload(pooled) -> dict:
     report = detect_switching(trace)
     km = kmeans_summary(pooled)
     return {
-        "parameters": summarise(pooled).table(),
+        "parameters": summarise(pooled),
         "map_relabelled": {
-            "parameters": summarise(relabelled).table(),
+            "parameters": summarise(relabelled),
             "map_index": map_index,
-            "switching": {
-                "distinct_permutations": report.distinct_permutations,
-                "transitions": report.transitions,
-                "longest_constant_run": report.longest_constant_run,
-            },
+            "switching": dataclasses.asdict(report),
         },
         "kmeans": {
             "columns": km["columns"],
@@ -186,7 +201,8 @@ def _density_grid(pooled) -> np.ndarray:
 
 
 def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
-    """Write ``summary.json`` (strict JSON) and ``density.csv``.
+    """Write ``summary.json`` (strict JSON) and ``density.csv``, both computed
+    before either is written.
 
     Returns both paths and the wall time in seconds of the summary (MAP
     relabelling, switch detection, k-means and the tables) and of the density.
@@ -195,13 +211,13 @@ def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
     start = clock()
     summary = _summary_payload(pooled)
     summary_s = clock() - start
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False), encoding="utf-8")
     start = clock()
     grid = _density_grid(pooled)
     density = density_curve(pooled, grid)
     density_s = clock() - start
-    density_path = out_dir / "density.csv"
+    text = json.dumps(summary, indent=2, allow_nan=False)
+    summary_path, density_path = out_dir / "summary.json", out_dir / "density.csv"
+    summary_path.write_text(text, encoding="utf-8")
     write_table(density_path, [("x", grid), ("density", density)])
     return [summary_path, density_path], {"summary_s": summary_s, "density_s": density_s}
 
@@ -220,17 +236,11 @@ def cmd_fit(args) -> int:
     sampler_name, runner = _select_sampler(family, k, config)
     out_dir = Path(args.out)
     # made before sampling, so an unusable path is refused first, and removed
-    # again, deepest first, if the sampler refuses the data
-    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    start = time.perf_counter()
-    try:
+    # again if the sampler refuses the data
+    with _removed_on_failure(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
         result = runner(data, prior)
-    except BaseException:
-        for path in made:
-            path.rmdir()
-        raise
     wall = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -306,11 +316,16 @@ def cmd_prior_sample(args) -> int:
     seed = args.seed if args.seed is not None else 0
     draws = sample_prior(prior, k, family, args.n, seed)
     out = Path(args.out)
-    write_table(out, list(chain_columns(draws)), integers={"phi_sign"})
+    tables = [(out, list(chain_columns(draws)))]
     if args.quantiles:
         table = prior_quantile_study(prior, k, args.n, levels, seed)
-        qpath = args.quantile_out or str(out.with_name(out.stem + "_quantiles.csv"))
-        write_table(qpath, [(f"q{level}", table[:, j]) for j, level in enumerate(levels)])
+        qpath = args.quantile_out or out.with_name(out.stem + "_quantiles.csv")
+        tables.append((qpath, [(f"q{level}", table[:, j]) for j, level in enumerate(levels)]))
+    with _removed_on_failure(*(path for path, _ in tables)):
+        for path, _ in tables:  # an unusable path is refused before a table is overwritten
+            open(path, "a").close()
+        for path, columns in tables:
+            write_table(path, columns, integers={"phi_sign"})
     return EXIT_OK
 
 
@@ -335,8 +350,9 @@ def cmd_summarize(args) -> int:
                              f"{args.data[0]} a {first.family} one with k = {first.k}: "
                              "summarize pools chains of one family and k")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_summary(pool_draws(chains), out_dir)
+    with _removed_on_failure(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_summary(pool_draws(chains), out_dir)
     return EXIT_OK
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .params import StandardParams
-from .sampler import Chain, usable_cpus
+from .sampler import usable_cpus
 
 __all__ = [
     "DrawMatrix",
     "PermutationTrace",
     "SwitchReport",
-    "Summary",
     "find_map",
     "relabel_map",
     "detect_switching",
@@ -65,48 +64,22 @@ class DrawMatrix:
         return StandardParams(self.family, self.weights[t], self.locs[t])
 
 
-def draws_from_chain(chain: Chain, include_burn_in: bool = False) -> DrawMatrix:
-    start = 0 if include_burn_in else chain.burn_in
-    extras = {}
-    for name in ("mu", "sigma", "phi_sq", "lam"):
-        col = getattr(chain, name)
-        if col is not None:
-            extras[name] = col[start:]
-    return DrawMatrix(
-        family=chain.family,
-        weights=chain.weights[start:],
-        locs=chain.locs[start:],
-        scales=None if chain.scales is None else chain.scales[start:],
-        log_posterior=chain.log_posterior[start:],
-        extras=extras,
-    )
+def pool_draws(chains) -> DrawMatrix:
+    """One draw table from a list of chains of one family and ``k``: each
+    chain past its burn-in, concatenated in chain order."""
+    first = chains[0]
 
+    def pooled(name):
+        return np.concatenate([getattr(chain, name)[chain.burn_in:] for chain in chains])
 
-def _coerce(draws) -> DrawMatrix:
-    if isinstance(draws, Chain):
-        return draws_from_chain(draws)
-    return draws
-
-
-def pool_draws(items) -> DrawMatrix:
-    """Concatenate several chains (or matrices) into one draw matrix."""
-    mats = [_coerce(item) for item in items]
-    first = mats[0]
-    scales = None
-    if first.scales is not None:
-        scales = np.concatenate([m.scales for m in mats])
-    extras = {
-        name: np.concatenate([m.extras[name] for m in mats])
-        for name in first.extras
-        if all(name in m.extras for m in mats)
-    }
     return DrawMatrix(
         family=first.family,
-        weights=np.concatenate([m.weights for m in mats]),
-        locs=np.concatenate([m.locs for m in mats]),
-        scales=scales,
-        log_posterior=np.concatenate([m.log_posterior for m in mats]),
-        extras=extras,
+        weights=pooled("weights"),
+        locs=pooled("locs"),
+        scales=None if first.scales is None else pooled("scales"),
+        log_posterior=pooled("log_posterior"),
+        extras={name: pooled(name) for name in ("mu", "sigma", "phi_sq", "lam")
+                if getattr(first, name) is not None},
     )
 
 
@@ -114,16 +87,15 @@ def pool_draws(items) -> DrawMatrix:
 # MAP relabelling
 
 
-def find_map(draws) -> tuple[StandardParams, int]:
+def find_map(draws: DrawMatrix) -> tuple[StandardParams, int]:
     """Draw with the highest stored log-posterior, the earliest of ties; refused if not finite."""
-    dm = _coerce(draws)
-    if len(dm) == 0:
+    if len(draws) == 0:
         raise ValueError("empty chain")
-    idx = int(np.argmax(dm.log_posterior))  # the first NaN, if there is one
-    if not math.isfinite(dm.log_posterior[idx]):
+    idx = int(np.argmax(draws.log_posterior))  # the first NaN, if there is one
+    if not math.isfinite(draws.log_posterior[idx]):
         raise ValueError(f"cannot pick the MAP draw: pooled draw {idx} has log_posterior "
-                         f"{dm.log_posterior[idx]}")
-    return dm.params(idx), idx
+                         f"{draws.log_posterior[idx]}")
+    return draws.params(idx), idx
 
 
 @dataclass(frozen=True)
@@ -291,7 +263,8 @@ def _solve_assignments(cost: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(col4row.T)
 
 
-def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
+def relabel_map(draws: DrawMatrix,
+                map_params: StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
     """Permute each draw to minimise its distance to the reference draw.
 
     The distance is the Euclidean norm over the per-component ``(loc, scale,
@@ -303,11 +276,10 @@ def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, Permutat
     ``linear_sum_assignment`` breaks them.  Raises ``ValueError`` naming the
     first draw whose distances are NaN or all matchings infinite.
     """
-    dm = _coerce(draws)
-    points = _component_points(dm.locs, dm.scales, dm.weights)  # (T, k, B)
+    points = _component_points(draws.locs, draws.scales, draws.weights)  # (T, k, B)
     ref = _component_points(
         map_params.locs,
-        None if dm.scales is None else map_params.scales,
+        None if draws.scales is None else map_params.scales,
         map_params.weights,
     )  # (k, B)
     diff = points[:, None, :, :] - ref[None, :, None, :]
@@ -315,12 +287,12 @@ def relabel_map(draws, map_params: StandardParams) -> tuple[DrawMatrix, Permutat
     cost = np.einsum("tijb,tijb->tij", diff, diff)
     trace = PermutationTrace(r=_solve_assignments(cost))
 
-    rows = np.arange(len(dm))[:, None]
+    rows = np.arange(len(draws))[:, None]
     relabelled = replace(
-        dm,
-        weights=dm.weights[rows, trace.r],
-        locs=dm.locs[rows, trace.r],
-        scales=None if dm.scales is None else dm.scales[rows, trace.r],
+        draws,
+        weights=draws.weights[rows, trace.r],
+        locs=draws.locs[rows, trace.r],
+        scales=None if draws.scales is None else draws.scales[rows, trace.r],
     )
     return relabelled, trace
 
@@ -446,26 +418,23 @@ def kmeans(points: np.ndarray, k: int, n_restarts: int = 10, seed: int = 0,
     return best
 
 
-def kmeans_summary(draws, k: int | None = None, n_restarts: int = 10, seed: int = 0):
-    """Cluster the pooled per-component points and summarise each cluster.
+def kmeans_summary(draws: DrawMatrix, seed: int = 0):
+    """Cluster the pooled per-component points into ``draws.k`` clusters and
+    summarise each cluster.
 
     Points are ``(loc_i, scale_i, p_i)`` triples (pairs without scales),
     pooled over draws and components.  Returns a dict with the cluster
     ``centres`` and within-cluster ``medians`` as (k, B) arrays, rows
     ordered by ascending location coordinate, plus the ``objective``.
     """
-    dm = _coerce(draws)
-    k = dm.k if k is None else k
-    points = _component_points(dm.locs, dm.scales, dm.weights)
+    points = _component_points(draws.locs, draws.scales, draws.weights)
     points = points.reshape(-1, points.shape[-1])
-    centres, labels, objective, history = kmeans(
-        points, k, n_restarts=n_restarts, seed=seed
-    )
+    centres, labels, objective, history = kmeans(points, draws.k, seed=seed)
     medians = np.stack(
-        [np.median(points[labels == j], axis=0) for j in range(k)]
+        [np.median(points[labels == j], axis=0) for j in range(draws.k)]
     )
     order = np.argsort(centres[:, 0])
-    columns = ["loc"] + (["scale"] if dm.scales is not None else []) + ["weight"]
+    columns = ["loc"] + (["scale"] if draws.scales is not None else []) + ["weight"]
     return {
         "columns": columns,
         "centres": centres[order],
@@ -477,19 +446,6 @@ def kmeans_summary(draws, k: int | None = None, n_restarts: int = 10, seed: int 
 
 # --------------------------------------------------------------------------
 # summaries
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Per-parameter posterior mean, median, and central 95% interval."""
-
-    stats: dict
-
-    def table(self) -> dict:
-        return {
-            name: {key: float(val) for key, val in row.items()}
-            for name, row in self.stats.items()
-        }
 
 
 def _stat_row(name: str, x: np.ndarray) -> dict:
@@ -505,27 +461,26 @@ def _stat_row(name: str, x: np.ndarray) -> dict:
     }
 
 
-def summarise(draws) -> Summary:
-    """Order-statistic summary of every column of a draw matrix.
+def summarise(draws: DrawMatrix) -> dict:
+    """Posterior mean, median and central 95% interval of every column of
+    ``draws``, as ``{name: {"mean", "median", "q025", "q975"}}`` floats.
 
     Quantiles interpolate linearly between order statistics; a non-finite value is refused.
     """
-    dm = _coerce(draws)
-    if len(dm) == 0:
+    if len(draws) == 0:
         raise ValueError("empty chain")
-    columns = list(dm.extras.items())
-    for i in range(dm.k):
-        columns += [(f"p{i + 1}", dm.weights[:, i]), (f"loc{i + 1}", dm.locs[:, i])]
-        if dm.scales is not None:
-            columns.append((f"scale{i + 1}", dm.scales[:, i]))
-    stats = {name: _stat_row(name, col) for name, col in columns}
-    return Summary(stats=stats)
+    columns = list(draws.extras.items())
+    for i in range(draws.k):
+        columns += [(f"p{i + 1}", draws.weights[:, i]), (f"loc{i + 1}", draws.locs[:, i])]
+        if draws.scales is not None:
+            columns.append((f"scale{i + 1}", draws.scales[:, i]))
+    return {name: _stat_row(name, col) for name, col in columns}
 
 
 DENSITY_BLOCK_CELLS = 2**17  # (pair, grid point) cells per density block: about 1 MB, L2-sized
 
 
-def density_curve(draws, grid: np.ndarray) -> np.ndarray:
+def density_curve(draws: DrawMatrix, grid: np.ndarray) -> np.ndarray:
     """Pointwise average of the per-draw mixture densities over ``grid``.
 
     Draws are taken in chunks of about 10**6 (draw, grid point) cells, and
@@ -537,17 +492,17 @@ def density_curve(draws, grid: np.ndarray) -> np.ndarray:
     chunk's running sum.  With two or more chunks and usable CPUs the chunks
     run on up to one thread per usable CPU, under the caller's numpy error
     handling, joined before this returns.  The result is therefore bit for
-    bit the sum of the whole per-chunk arrays, whatever the CPU count.  Weights and locations (and scales) are expected
-    in one layout, as every ``DrawMatrix`` built here has them; mixed
-    layouts can change the last bit of the sums.
+    bit the sum of the whole per-chunk arrays, whatever the CPU count.
+    Weights and locations (and scales) are expected in one layout, as every
+    ``DrawMatrix`` built here has them; mixed layouts can change the last
+    bit of the sums.
     """
-    dm = _coerce(draws)
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted")
     chunk = max(1, 10**6 // max(len(grid), 1))
-    starts = range(0, len(dm), chunk)
-    if dm.family == "poisson":  # grid holds nonnegative integers
+    starts = range(0, len(draws), chunk)
+    if draws.family == "poisson":  # grid holds nonnegative integers
         from scipy.special import gammaln
 
         offset = gammaln(grid + 1.0)
@@ -557,7 +512,7 @@ def density_curve(draws, grid: np.ndarray) -> np.ndarray:
 
     def chunk_sum(lo):
         with np.errstate(**errors):
-            return _chunk_density(dm, grid, offset, lo, min(lo + chunk, len(dm)))
+            return _chunk_density(draws, grid, offset, lo, min(lo + chunk, len(draws)))
 
     workers = usable_cpus(len(starts))
     if workers > 1:
@@ -571,7 +526,7 @@ def density_curve(draws, grid: np.ndarray) -> np.ndarray:
     total = np.zeros_like(grid)
     for part in sums:
         total += part
-    return total / len(dm)
+    return total / len(draws)
 
 
 def _chunk_density(dm: DrawMatrix, grid: np.ndarray, offset: np.ndarray, lo: int,

@@ -313,11 +313,15 @@ def standard_arrays_from_angular(
     varpi: np.ndarray,
     xi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unvalidated array version of :func:`standard_from_angular`.
+    """Array version of :func:`standard_from_angular`.
 
     Returns ``(locs, scales, weights)`` without constructing parameter
-    objects; boundary states (a zero eta entry) come through as zero scales
-    for the caller to handle.
+    objects.  It checks what :func:`gamma_from_angles` and
+    :func:`eta_from_angles` check, raising ``ValueError``: ``k - 2`` angles
+    in ``varpi``, ``phi_sq`` in [0, 1] and every ``xi`` in [0, pi/2].  The
+    weights, ``sigma`` and the number of ``xi`` angles are not checked, and
+    boundary states (a zero eta entry) come through as zero scales for the
+    caller to handle.
     """
     gamma = gamma_from_angles(_radius(phi_sq, phi_sign, len(p)), varpi, p)
     eta = eta_from_angles(phi_sq, xi)

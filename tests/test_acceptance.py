@@ -41,7 +41,6 @@ from mixanchor.oracles import (
 )
 from mixanchor.postprocess import (
     detect_switching,
-    draws_from_chain,
     find_map,
     kmeans_summary,
     pool_draws,
@@ -209,7 +208,7 @@ def test_criterion_5_two_component_reproduction(example1_k2_run):
 
 def test_criterion_6_three_component_relabelling(example3_run):
     chain = example3_run.chains[0]
-    draws = draws_from_chain(chain)
+    draws = pool_draws([chain])
     map_params, _ = find_map(draws)
     relabelled, trace = relabel_map(draws, map_params)
     report = detect_switching(trace)
@@ -227,7 +226,7 @@ def test_criterion_6_three_component_relabelling(example3_run):
     checks.append((np.all(loc_err < 0.75), f"loc medians off by {loc_err.round(3)}"))
     checks.append((np.all(weight_err < 0.1), f"weight medians off by {weight_err.round(3)}"))
 
-    km = kmeans_summary(draws, 3, seed=1)
+    km = kmeans_summary(draws, seed=1)
     km_locs = km["medians"][:, 0]
     agreement = np.abs(np.sort(km_locs) - np.sort(med_locs))
     checks.append((np.all(agreement < 0.1), f"kmeans vs MAP medians differ by {agreement.round(3)}"))
@@ -245,7 +244,7 @@ def test_criterion_6_three_component_relabelling(example3_run):
 
 def test_criterion_7_poisson_reproduction(model1_poisson_run):
     chain = model1_poisson_run.chains[0]
-    draws = draws_from_chain(chain)
+    draws = pool_draws([chain])
     checks = []
     lam_mean = float(draws.extras["lam"].mean())
     checks.append((abs(lam_mean - 2.6) < 0.05, f"lam mean {lam_mean:.4f}"))

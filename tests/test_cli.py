@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mixanchor.chainio import chain_from_csv, chain_to_csv, write_table
-from mixanchor.cli import main
+from mixanchor.cli import _removed_on_failure, main
 from mixanchor.likelihood import Dataset
 from mixanchor.params import StandardParams
 from mixanchor.priors import PriorSpec
@@ -382,6 +382,16 @@ class TestFit:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "kept", "tiny.json"]
         assert not any(kept.iterdir())
 
+    def test_failure_keeps_a_made_directory_that_holds_a_file(self, tmp_path):
+        # a chain CSV written before a later step fails is never deleted
+        out = tmp_path / "a" / "b"
+        with pytest.raises(RuntimeError):
+            with _removed_on_failure(out):
+                out.mkdir(parents=True)
+                (out / "chain_0.csv").write_text("iteration\n")
+                raise RuntimeError("a later step")
+        assert (out / "chain_0.csv").read_text() == "iteration\n"
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_prior_draws_outside_the_support_exit_2(self, tmp_path, capsys, monkeypatch, cpus):
         # Dirichlet(1e-300) weights fall below MIN_WEIGHT in every draw; this exited 3
@@ -648,15 +658,31 @@ class TestPriorSampleAndSummarize:
         (["--family", "poisson", "--n", "5", "--quantiles", "0.5"], "gaussian prior only"),
         (["--family", "gaussian", "--n", "5", "--quantiles", "1.5"], "--quantiles"),
         (["--family", "gaussian", "--n", "5", "--quantiles", "0.5,abc"], "--quantiles"),
-    ], ids=["negative-n", "rate-quantiles", "level-above-one", "level-not-a-number"])
+        (["--family", "gaussian", "--n", "5", "--quantiles", "0.5",
+          "--quantile-out", "{tmp}/nodir/q.csv"], "nodir/q.csv"),
+    ], ids=["negative-n", "rate-quantiles", "level-above-one", "level-not-a-number",
+            "quantile-table-unwritable"])
     def test_prior_sample_refuses_bad_flags(self, tmp_path, capsys, argv, named):
         # a negative --n ended in numpy's "negative dimensions", a rate family's
         # quantile study sampled the gaussian prior, and bad levels were refused
-        # only after the draws table was written, "abc" without naming the flag
+        # only after the draws table was written, "abc" without naming the flag;
+        # a quantile table that could not be written left the draws table behind
         out = tmp_path / "prior.csv"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(["prior-sample", "--k", "2", *argv, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_keeps_an_existing_draws_table(self, tmp_path, capsys):
+        # the draws table was overwritten before the quantile table was refused
+        out = tmp_path / "prior.csv"
+        out.write_text("kept\n")
+        assert main(["prior-sample", "--family", "gaussian", "--k", "2", "--n", "5",
+                     "--out", str(out), "--quantiles", "0.5",
+                     "--quantile-out", str(tmp_path / "nodir" / "q.csv")]) == 2
+        assert "nodir" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [out]
 
     def test_no_draws_give_header_only_tables(self, tmp_path):
         # --n 0 with --quantiles ended in "zero-size array to reduction operation"
@@ -828,6 +854,18 @@ class TestSummarizeRefusals:
         assert f"{second} holds a gaussian chain with k = 3, but {first}" in err
         assert "k = 2" in err
         assert not out.exists()
+
+    def test_refusal_removes_only_the_directories_it_made(self, gaussian_run, tmp_path, capsys):
+        # the MAP refusal came after --out and its parents were made, which stayed
+        # behind empty
+        broken = _broken_copy(tmp_path, gaussian_run, "log_posterior", "nan")
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (kept / "sumout" / "deeper", kept):
+            assert main(["summarize", "--data", str(broken), "--family", "gaussian",
+                         "--burnin", "50", "--out", str(out)]) == 2
+            assert "cannot pick the MAP draw" in capsys.readouterr().err
+            assert kept.is_dir() and not any(kept.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_log_posterior_is_not_the_map_draw(self, tmp_path, capsys, value):

@@ -1,6 +1,8 @@
-"""Every name a ``mixanchor`` module exports through ``__all__``, and every
-name the benchmark's layer tracer wraps, resolves."""
+"""Every name a ``mixanchor`` module exports through ``__all__``, every
+name the benchmark's layer tracer wraps, and every ``mixanchor`` name the
+demos import, resolves."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -36,3 +38,24 @@ def test_traced_name_resolves(name):
     # looks up; a name gone from its module would read null, not fail
     module_name, attr = name.split(":")
     assert hasattr(importlib.import_module(module_name), attr)
+
+
+def _demo_imports():
+    """``(demo, module, name)`` for each ``mixanchor`` import in ``demos/*.py``;
+    ``name`` is ``None`` for a plain ``import``."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mixanchor"):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name, None) for alias in node.names
+                          if alias.name.startswith("mixanchor")]
+    return found
+
+
+@pytest.mark.parametrize("demo, module_name, attr", _demo_imports())
+def test_demo_import_resolves(demo, module_name, attr):
+    # no test runs the demos, so a name gone from the package would break one unseen
+    module = importlib.import_module(module_name)
+    assert attr is None or hasattr(module, attr), f"{demo}: {module_name}.{attr}"

@@ -230,7 +230,7 @@ class TestKmeans:
         T = 300
         locs = np.stack([rng.normal(-4, 0.01, T), rng.normal(3, 0.01, T)], axis=1)
         dm = make_draws(locs, np.ones((T, 2)), np.tile([0.3, 0.7], (T, 1)))
-        table = kmeans_summary(dm, 2, seed=8)
+        table = kmeans_summary(dm, seed=8)
         assert table["columns"] == ["loc", "scale", "weight"]
         assert table["centres"][0, 0] < table["centres"][1, 0]
         np.testing.assert_allclose(table["medians"][:, 0], [-4, 3], atol=0.01)
@@ -239,15 +239,13 @@ class TestKmeans:
 class TestSummarise:
     def test_constant_chain(self):
         dm = make_draws(np.full((20, 2), 3.0))
-        summary = summarise(dm)
-        row = summary.stats["loc1"]
+        row = summarise(dm)["loc1"]
         assert row["mean"] == row["median"] == row["q025"] == row["q975"] == 3.0
 
     def test_uniform_grid_order_statistics(self):
         grid = np.arange(1.0, 101.0)
         locs = np.stack([grid, np.zeros(100)], axis=1)
-        summary = summarise(make_draws(locs))
-        row = summary.stats["loc1"]
+        row = summarise(make_draws(locs))["loc1"]
         assert row["median"] == pytest.approx(50.5, abs=1e-12)
         assert row["q025"] == pytest.approx(3.475, abs=1e-12)
         assert row["q975"] == pytest.approx(97.525, abs=1e-12)
@@ -264,8 +262,8 @@ class TestSummarise:
         for new_idx, old_idx in enumerate(perm):
             for prefix in ("loc", "scale", "p"):
                 assert (
-                    s1.stats[f"{prefix}{old_idx + 1}"]
-                    == s2.stats[f"{prefix}{new_idx + 1}"]
+                    s1[f"{prefix}{old_idx + 1}"]
+                    == s2[f"{prefix}{new_idx + 1}"]
                 )
 
 
@@ -313,9 +311,7 @@ def test_mcse_mean_matches_iid_rate():
 def test_relabelling_breaks_weight_exchangeability(example3_run):
     # before relabelling the three weight chains are exchangeable; afterwards
     # they separate back to the component weights, matched by location
-    from mixanchor.postprocess import draws_from_chain
-
-    draws = draws_from_chain(example3_run.chains[0])
+    draws = pool_draws([example3_run.chains[0]])
     map_params, _ = find_map(draws)
     relabelled, _ = relabel_map(draws, map_params)
     weight_means = relabelled.weights.mean(axis=0)
