@@ -10,34 +10,49 @@ A chain's columns are ``iteration``, then ``Chain.columns()`` (the order of
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
 from .sampler import CHAIN_FIELDS, Chain
 
-__all__ = ["CHAIN_FORMAT_VERSION", "write_table", "chain_to_csv", "chain_from_csv"]
+__all__ = ["CHAIN_FORMAT_VERSION", "write_table", "chain_table", "chain_to_csv", "chain_from_csv"]
 
 CHAIN_FORMAT_VERSION = 1
 
 
-def write_table(path, columns, integers=()) -> None:
-    """Write ``(name, 1-d values)`` pairs as CSV columns; those named in ``integers`` as ints."""
+def _write_rows(handle, columns, integers) -> None:
     cells = [
         map(str, np.asarray(values, dtype=np.int64).tolist())
         if name in integers
         else map(repr, np.asarray(values, dtype=float).tolist())
         for name, values in columns
     ]
+    writer = csv.writer(handle)
+    writer.writerow([name for name, _ in columns])
+    writer.writerows(zip(*cells))
+
+
+def write_table(path, columns, integers=()) -> None:
+    """Write ``(name, 1-d values)`` pairs as CSV columns; those named in ``integers`` as ints."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([name for name, _ in columns])
-        writer.writerows(zip(*cells))
+        _write_rows(handle, columns, integers)
 
 
-def chain_to_csv(chain: Chain, path) -> None:
+def chain_table(chain: Chain) -> str:
+    """The CSV text of ``chain``, as :func:`write_table` writes its columns."""
     accepts = [(f"acc_{name}", flags) for name, flags in chain.accepts.items()]
     columns = [("iteration", chain.iterations), *chain.columns(), *accepts]
-    write_table(path, columns, integers={"iteration", "phi_sign", *dict(accepts)})
+    text = io.StringIO()
+    _write_rows(text, columns, integers={"iteration", "phi_sign", *dict(accepts)})
+    return text.getvalue()
+
+
+def chain_to_csv(chain: Chain, path, table: str | None = None) -> None:
+    """Write ``chain`` to ``path``; ``table`` is its :func:`chain_table` text, if
+    it was rendered already (a fit renders each chain where it was sampled)."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(chain_table(chain) if table is None else table)
 
 
 def chain_from_csv(path, family: str | None = None, burn_in: int = 0) -> Chain:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chainio import CHAIN_FORMAT_VERSION, chain_from_csv, chain_to_csv, write_table
+from .chainio import CHAIN_FORMAT_VERSION, chain_from_csv, chain_table, chain_to_csv, write_table
 from .likelihood import Dataset
 from .oracles import gaussian_pair_closed, gaussian_pair_quad, marginal_one_obs_mc, n1_divergence_probe
 from .params import FAMILIES, StandardParams
@@ -155,16 +155,17 @@ def cmd_simulate(args) -> int:
 def _select_sampler(family: str, k: int, config: RunConfig):
     """Name and runner of the kernel.  A ``config.proposal`` of 1 or 2, by flag
     or config, runs the two-component Gaussian kernel and is refused for any
-    other fit; ``None`` runs the family's general kernel."""
+    other fit; ``None`` runs the family's general kernel.  The runner renders
+    each chain's CSV text where the chain was sampled."""
     if config.proposal is not None:
         if (family, k) != ("gaussian", 2):
             raise ValueError(
                 "run option 'proposal' selects the two-component Gaussian kernel; "
                 f"it applies only to a gaussian fit with k = 2, not {family} with k = {k}"
             )
-        return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config)
+        return "gaussian_k2", lambda data, spec: mwg_gaussian_k2(data, spec, config, chain_table)
     kernels = {"gaussian": mwg_gaussian, "poisson": mwg_poisson, "exponential": mwg_exponential}
-    return family, lambda data, spec: kernels[family](data, k, spec, config)
+    return family, lambda data, spec: kernels[family](data, k, spec, config, chain_table)
 
 
 def _summary_payload(pooled) -> dict:
@@ -243,11 +244,12 @@ def cmd_fit(args) -> int:
         result = runner(data, prior)
     wall = time.perf_counter() - start
 
+    # every chain succeeded, so the tables rendered with them are written now
     start = time.perf_counter()
     chain_paths = []
-    for i, chain in enumerate(result.chains):
+    for i, (chain, table) in enumerate(zip(result.chains, result.tables)):
         path = out_dir / f"chain_{i}.csv"
-        chain_to_csv(chain, path)
+        chain_to_csv(chain, path, table)
         chain_paths.append(str(path))
     write_s = time.perf_counter() - start
 
@@ -270,8 +272,8 @@ def cmd_fit(args) -> int:
             "run": dataclasses.asdict(config),
         },
         "wall_clock_s": wall,
-        "timings": {"sample_s": wall, "chain_s": result.chain_s, "workers": result.workers,
-                    "write_s": write_s, **summary_timings},
+        "timings": {"sample_s": wall, "chain_s": result.chain_s, "render_s": result.render_s,
+                    "workers": result.workers, "write_s": write_s, **summary_timings},
         "n_observations": data.n,
         "chains": [
             {

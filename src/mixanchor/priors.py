@@ -187,10 +187,10 @@ def _betaln(a: float, b: float) -> float:
 
 def _log_dirichlet(x: np.ndarray, alpha: float) -> float:
     k = len(x)
-    if (x < MIN_WEIGHT).any():
+    if any(map(MIN_WEIGHT.__gt__, x.tolist())):
         return -math.inf
     norm = math.lgamma(k * alpha) - k * math.lgamma(alpha)
-    return float(norm + (alpha - 1.0) * np.sum(np.log(x)))
+    return float(norm + (alpha - 1.0) * np.log(x).sum())
 
 
 def _log_beta(x: float, a: float, b: float) -> float:
@@ -208,7 +208,7 @@ def log_xi_density(spec: PriorSpec, xi: np.ndarray, k: int) -> float:
     ``(k-1)! * prod_i 2 sin(xi_i)^(2(k-1-i)+1) cos(xi_i)`` over
     ``[0, pi/2]^(k-1)``; the double-uniform law is flat there.
     """
-    if (xi < 0).any() or (xi > math.pi / 2).any():
+    if any(angle < 0 or angle > math.pi / 2 for angle in xi.tolist()):
         return -math.inf
     m = k - 1
     if spec.kind == "double_uniform":

@@ -32,16 +32,20 @@ length adapts throughout.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .likelihood import Dataset, _gaussian_logpost, _k2_logpost, _rate_logpost
+from .likelihood import Dataset, _any_nonpositive, _gaussian_logpost, _rate_logpost
+# the k = 2 kernel's cached target, under the name the layer tracer of
+# ``bench/spans.py`` wraps; ``likelihood._k2_logpost`` is its uncached reference
+from .likelihood import _k2_cached_logpost as _k2_logpost
 from .params import MIN_WEIGHT
 from .priors import PriorSpec, _betaln, sample_prior, sample_varpi
 from .transforms import _k2_simplex
@@ -185,13 +189,20 @@ class Chain:
 @dataclass
 class RunResult:
     """Chains plus the final proposal scales and block acceptance rates, each
-    chain's wall seconds and the number of processes the chains ran in."""
+    chain's wall seconds and the number of processes the chains ran in.
+
+    With a renderer, ``tables`` holds each chain's rendering and ``render_s``
+    its wall seconds, taken where the chain was sampled; without one both
+    hold ``None`` per chain.
+    """
 
     chains: list
     final_scales: list
     config: RunConfig
     chain_s: list
     workers: int
+    tables: list
+    render_s: list
 
     def acceptance_rates(self, start: int | None = None) -> list:
         start = self.config.horizon if start is None else start
@@ -213,12 +224,12 @@ def _log_beta_pdf(x: float, a: float, b: float) -> float:
 
 
 def _log_dirichlet_pdf(x: np.ndarray, alpha: np.ndarray) -> float:
-    if (x <= 0.0).any():
+    if _any_nonpositive(x):
         return -math.inf
-    return float(
-        math.lgamma(alpha.sum()) - sum(map(math.lgamma, alpha.tolist()))
-        + (alpha - 1.0) @ np.log(x)
-    )
+    shapes = alpha.tolist()
+    # below 8 terms numpy's sum adds in order, as this reduction does
+    total = reduce(operator.add, shapes) if len(shapes) < 8 else alpha.sum()
+    return float(math.lgamma(total) - sum(map(math.lgamma, shapes)) + (alpha - 1.0) @ np.log(x))
 
 
 def _log_invgamma_pdf(x: float, shape: float, scale: float) -> float:
@@ -256,7 +267,7 @@ def _beta_proposal(rng, x, eps, offset=1.0):
 def _dirichlet_proposal(rng, v, eps, offset=1.0):
     alpha_fwd = v * eps + offset
     prop = rng.dirichlet(alpha_fwd)
-    if (prop <= 0.0).any():
+    if _any_nonpositive(prop):
         return None, 0.0
     lq_fwd = _log_dirichlet_pdf(prop, alpha_fwd)
     lq_rev = _log_dirichlet_pdf(v, prop * eps + offset)
@@ -430,17 +441,24 @@ def _take_job(job) -> None:
 
 
 def _chain_job(i: int, job=None) -> tuple:
-    """Run chain ``i`` of ``job`` (by default the job of this worker); returns
-    ``(chain, final_scales, wall seconds)``."""
-    kernel, family, k, config, seeds = _worker_job if job is None else job
-    start = time.perf_counter()
+    """Run chain ``i`` of ``job`` (by default the job of this worker) and render
+    it with the job's renderer, if any; returns ``(chain, final_scales, wall
+    seconds, rendering | None, rendering's wall seconds | None)``."""
+    kernel, family, k, config, seeds, render = _worker_job if job is None else job
+    clock = time.perf_counter
+    start = clock()
     # a move that takes a standardised residual past the float range gets a
     # -inf likelihood term, which is right; its overflow warning is silenced
     # once here rather than in every target call
     with np.errstate(over="ignore"):
         rng = np.random.Generator(np.random.PCG64(seeds[i]))
         chain, scales = _run_chain(kernel, family, k, config, rng)
-    return chain, scales, time.perf_counter() - start
+    seconds = clock() - start
+    if render is None:
+        return chain, scales, seconds, None, None
+    start = clock()
+    table = render(chain)
+    return chain, scales, seconds, table, clock() - start
 
 
 def usable_cpus(n: int) -> int:
@@ -460,7 +478,7 @@ def _run_chains(job) -> tuple:
     joins its threads before it returns), and the pool forks every worker
     before it starts its own.  The pool is imported only when it is used.
     """
-    n_chains = len(job[-1])  # one spawned seed per chain
+    n_chains = len(job[4])  # one spawned seed per chain
     workers = usable_cpus(n_chains)
     if workers > 1:
         import multiprocessing
@@ -476,17 +494,22 @@ def _run_chains(job) -> tuple:
     return [_chain_job(i, job) for i in range(n_chains)], 1
 
 
-def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> RunResult:
-    """Check the data, then run ``build(...)``'s kernel once per spawned seed.
+def _sample(build, data: Dataset, family: str, k: int, prior_spec, config,
+            render=None) -> RunResult:
+    """Check the data, then run ``build(...)``'s kernel once per spawned seed,
+    and hand each chain to ``render`` where it was sampled.
 
     Chain ``i`` draws from ``PCG64(SeedSequence(config.seed).spawn(n)[i])``
     whatever process it runs in, so the chains are the same whatever the CPU
     count.  With two or more chains and two or more usable CPUs the chains
     run in ``min(n_chains, usable CPUs)`` forked worker processes, which
     inherit the kernel (a closure, which does not pickle) and hand back each
-    chain with its final scales and wall time; otherwise they run one after
-    another in this process.  A chain's error is raised here as it would be in-process,
-    and no worker outlives the call.  A kernel whose prior never draws an
+    chain with its final scales, wall time and rendering; otherwise they run
+    one after another in this process.  A renderer spreads a caller's
+    per-chain work, such as formatting its table, over the workers; it is
+    passed in because the modules that render chains import this one.  A
+    chain's error is raised here as it would be in-process, and no worker
+    outlives the call.  A kernel whose prior never draws an
     initial state inside the support is refused with a ``ValueError`` that
     names the prior settings.
     """
@@ -525,7 +548,8 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
             f"run option 'init_scales' names {unknown}, which are not tuned blocks of "
             f"this kernel (tuned blocks: {tuned})"
         )
-    job = (kernel, family, k, config, np.random.SeedSequence(config.seed).spawn(config.n_chains))
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_chains)
+    job = (kernel, family, k, config, seeds, render)
     try:
         runs, workers = _run_chains(job)
     except _NoInitialState:
@@ -534,8 +558,8 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config) -> Ru
             f"settings {asdict(prior_spec)}: extreme hyperparameters put the draws on its "
             f"boundary (a weight below {MIN_WEIGHT}, or a squared radius at 0 or 1)"
         ) from None
-    chains, scales, seconds = zip(*runs)
-    return RunResult(list(chains), list(scales), config, list(seconds), workers)
+    chains, scales, seconds, tables, render_s = map(list, zip(*runs))
+    return RunResult(chains, scales, config, seconds, workers, tables, render_s)
 
 
 # --------------------------------------------------------------------------
@@ -600,12 +624,13 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
 
     def row(s):
         cache = s["cache"]
-        return {**_fields(s), "locs": cache["locs"][1], "scales": cache["scales"][1]}
+        return {**_fields(s), "locs": cache["mu"][1], "scales": cache["sigma"][2]}
 
     return tuple(blocks), target, init, row
 
 
-def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
+def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig,
+                 render=None) -> RunResult:
     """General-k Gaussian sampler over the angular coordinates.
 
     Per iteration: a location walk, a log-scale walk, independence
@@ -614,7 +639,7 @@ def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig
     walks on both angle sets.  Requires at least two distinct observations,
     the minimal sample for a proper posterior under the 1/sigma prior.
     """
-    return _sample(_gaussian_kernel, data, "gaussian", k, prior_spec, config)
+    return _sample(_gaussian_kernel, data, "gaussian", k, prior_spec, config, render)
 
 
 # --------------------------------------------------------------------------
@@ -658,16 +683,16 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
 
     def row(s):
         cache = s["cache"]
-        phi_sq, xi, _ = cache["k2_angles"][1]
+        angles = cache["v"]
         return {
             "mu": s["mu"],
             "sigma": s["sigma"],
-            "weights": cache["k2_weights"][1],
-            "locs": cache["locs"][1],
-            "scales": cache["scales"][1],
-            "phi_sq": phi_sq,
+            "weights": cache["p1"][1],
+            "locs": cache["mu"][1],
+            "scales": cache["sigma"][2],
+            "phi_sq": angles[1],
             "phi_sign": s["sign"],
-            "xi": xi,
+            "xi": angles[2],
             "varpi": (),
         }
 
@@ -686,7 +711,8 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
     return blocks, target, init, row
 
 
-def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
+def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig,
+                    render=None) -> RunResult:
     """Two-component Gaussian sampler with the specialised proposals.
 
     Variant 1 (also ``config.proposal=None``) uses a Beta move on the weight
@@ -694,10 +720,11 @@ def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig) -> 
     variant 2 walks the logit weight and the log-ratio simplex coordinates.
     Both variants propose the globals independently: the mean from a normal
     law at the sample mean, the variance from an Inverse-Gamma law anchored
-    at the sample variance.  The target is the general Gaussian one, cache
-    included, measured through ``eta1_sq`` (``likelihood._k2_logpost``).
+    at the sample variance.  The target is the general Gaussian one measured
+    through ``eta1_sq`` (``likelihood._k2_logpost``), run through its cached
+    fast path ``likelihood._k2_cached_logpost``, to the same bits.
     """
-    return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config)
+    return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config, render)
 
 
 # --------------------------------------------------------------------------
@@ -737,12 +764,13 @@ def _rate_kernel(data, family, k, prior_spec, config) -> tuple:
         return _rate_logpost(data, prior_spec, family, **s)
 
     def row(s):
-        return {**_fields(s), "locs": s["cache"]["rates"][1]}
+        return {**_fields(s), "locs": s["cache"]["lam"][1]}
 
     return blocks, target, init, row
 
 
-def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
+def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig,
+                render=None) -> RunResult:
     """Poisson mixture sampler over ``(lam, gamma, p)``.
 
     The global mean moves on the log scale through an independence proposal
@@ -750,12 +778,13 @@ def mwg_poisson(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig)
     Dirichlet proposals.  At least one strictly positive count is required
     for the posterior to be proper under the 1/lam prior.
     """
-    return _sample(_rate_kernel, data, "poisson", k, prior_spec, config)
+    return _sample(_rate_kernel, data, "poisson", k, prior_spec, config, render)
 
 
-def mwg_exponential(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig) -> RunResult:
+def mwg_exponential(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig,
+                    render=None) -> RunResult:
     """Exponential mixture sampler; mirrors the Poisson kernel."""
-    return _sample(_rate_kernel, data, "exponential", k, prior_spec, config)
+    return _sample(_rate_kernel, data, "exponential", k, prior_spec, config, render)
 
 
 # --------------------------------------------------------------------------

@@ -120,21 +120,22 @@ def basis_rows(p: np.ndarray) -> np.ndarray:
     k = len(p)
     if k < 2:
         raise ValueError("need at least two components")
-    if (p < MIN_WEIGHT).any():
+    weights = p.tolist()  # the scalar sums run on Python floats, to the same bits
+    if any(map(MIN_WEIGHT.__gt__, weights)):
         raise ValueError("degenerate simplex: all weights must exceed 1e-12")
     sq = np.sqrt(p)
     vectors = np.zeros((k - 1, k))
     vectors[0, 0] = -sq[1]
     vectors[0, 1] = sq[0]
-    vectors[0] /= math.sqrt(p[0] + p[1])
-    partial = float(p[0])
+    vectors[0] /= math.sqrt(weights[0] + weights[1])
+    partial = weights[0]
     for s in range(1, k - 1):
-        partial += p[s]
+        partial += weights[s]
         # raw vector: head entries -sqrt(p_j * p_{s+1}) / sqrt(partial), pivot sqrt(partial)
         head = -sq[: s + 1] * sq[s + 1] / math.sqrt(partial)
         vectors[s, : s + 1] = head
         vectors[s, s + 1] = math.sqrt(partial)
-        vectors[s] /= math.sqrt(partial + p[s + 1])
+        vectors[s] /= math.sqrt(partial + weights[s + 1])
     return vectors
 
 

@@ -229,14 +229,16 @@ class TestFit:
 
         manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
         timings = manifest["timings"]
-        assert set(timings) == {"sample_s", "chain_s", "workers", "write_s", "summary_s",
-                                "density_s"}
-        # one wall time per chain, and the number of processes they ran in
+        assert set(timings) == {"sample_s", "chain_s", "render_s", "workers", "write_s",
+                                "summary_s", "density_s"}
+        # one sampling and one rendering wall time per chain, and the number of
+        # processes they ran in
         chain_s = timings.pop("chain_s")
-        assert len(chain_s) == 2
+        render_s = timings.pop("render_s")
+        assert len(chain_s) == len(render_s) == 2
         workers = timings.pop("workers")
         assert type(workers) is int and 1 <= workers <= 2
-        for value in [*timings.values(), *chain_s]:
+        for value in [*timings.values(), *chain_s, *render_s]:
             assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
         assert timings["sample_s"] == manifest["wall_clock_s"]
         assert "workers" not in manifest["config"]["run"]
@@ -382,6 +384,37 @@ class TestFit:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "kept", "tiny.json"]
         assert not any(kept.iterdir())
 
+    def test_refused_pooled_k2_fit_writes_no_table(self, gaussian_config, tmp_path, capsys,
+                                                   monkeypatch):
+        # chain 0 is sampled and rendered in its worker, then chain 1 fails: the
+        # tables are written only once every chain has succeeded, so none is
+        from mixanchor import sampler
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_chain = sampler._run_chain
+
+        def second_chain_fails(kernel, family, k, config, rng):
+            result = run_chain(kernel, family, k, config, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                raise sampler._NoInitialState("refused after sampling")
+            return result
+
+        monkeypatch.setattr(sampler, "_run_chain", second_chain_fails)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gaussian_config), "--n", "50",
+              "--seed", "22", "--out", str(data)])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "new", kept):
+            code = main(["fit", "--config", str(gaussian_config), "--data", str(data),
+                         "--proposal", "1", "--chains", "2", "--iters", "300",
+                         "--burnin", "100", "--out", str(out)])
+            assert code == 2
+            assert "no prior draw of the initial state" in capsys.readouterr().err
+            assert multiprocessing.active_children() == []
+        assert not (tmp_path / "new").exists()
+        assert not any(kept.iterdir())
+
     def test_failure_keeps_a_made_directory_that_holds_a_file(self, tmp_path):
         # a chain CSV written before a later step fails is never deleted
         out = tmp_path / "a" / "b"
@@ -414,8 +447,9 @@ class TestFit:
             "boundary (a weight below 1e-12, or a squared radius at 0 or 1)\n")
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("flags", [[], ["--proposal", "1"]], ids=["general", "proposal1"])
     def test_outputs_do_not_depend_on_the_worker_count(self, gaussian_config, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, flags):
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(gaussian_config), "--n", "50",
               "--seed", "22", "--out", str(data)])
@@ -427,7 +461,7 @@ class TestFit:
             out = tmp_path / f"cpus{cpus}"
             assert main(["fit", "--config", str(gaussian_config), "--data", str(data),
                          "--chains", "4", "--iters", "400", "--burnin", "100",
-                         "--out", str(out)]) == 0
+                         "--out", str(out), *flags]) == 0
             assert multiprocessing.active_children() == []
             outputs.append([(out / name).read_bytes() for name in names])
             manifest = json.loads((out / "manifest.json").read_text())

@@ -253,6 +253,18 @@ def sorted_reference_loglik(log_terms, counts=None):
     return float(counts @ per_obs)
 
 
+def network_loglik(log_terms, counts=None):
+    """The aggregation of k >= 4 at any k: the merge network's compare-exchanges,
+    then the shifted log-sum-exp."""
+    _sort_rows(log_terms)
+    shift = log_terms[-1]
+    if not np.isfinite(shift).all():
+        return -math.inf
+    rest = np.subtract(log_terms[:-1], shift, out=log_terms[:-1])
+    per_obs = shift + np.log1p(_sum_terms(np.exp(rest, out=rest)))
+    return float(per_obs.sum()) if counts is None else float(counts @ per_obs)
+
+
 def same_float(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes() or (
         math.isnan(a) and math.isnan(b)
@@ -343,6 +355,27 @@ class TestAggregation:
         assert np.array_equal(np.isnan(columns[-1]), has_nan)
         assert np.array_equal(np.isnan(expected[-1]), has_nan)
         assert np.array_equal(columns[:, ~has_nan], expected[:, ~has_nan])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_direct_selections_match_the_network_bits(self, k, with_counts):
+        # every column of k terms from ties, signed zeros, infinities and NaN,
+        # one observation at a time, then all finite columns at once
+        specials = [-math.inf, -2.5, -0.0, 0.0, 0.0, 1e-300, 3.0, math.inf, math.nan]
+        columns = np.array(list(itertools.product(specials, repeat=k))).T
+        rng = np.random.default_rng(k)
+        for j in range(columns.shape[1]):
+            terms = columns[:, j : j + 1]
+            counts = np.array([3.0]) if with_counts else None
+            with np.errstate(all="ignore"):
+                ours = _mixture_loglik(terms.copy(), counts)
+                network = network_loglik(terms.copy(), counts)
+            assert same_float(ours, network), terms.ravel()
+        finite = columns[:, np.isfinite(columns).all(axis=0)]
+        finite = np.concatenate([finite, rng.normal(0.0, 50.0, (k, 500))], axis=1)
+        counts = rng.integers(1, 6, finite.shape[1]).astype(float) if with_counts else None
+        assert same_float(_mixture_loglik(finite.copy(), counts),
+                          network_loglik(finite.copy(), counts))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1))

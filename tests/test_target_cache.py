@@ -320,7 +320,65 @@ def test_k3_locations_and_scales_match_the_closed_form():
         cache = {}
         assert math.isfinite(_gaussian_logpost(data, spec, mu, sigma, weights, phi_sq, 1,
                                                varpi, xi, cache))
-        for got in (locs, cache["locs"][1]):
+        for got in (locs, cache["mu"][1]):
             np.testing.assert_allclose(got, want_locs, rtol=1e-12, atol=1e-12)
-        for got in (scales, cache["scales"][1]):
+        for got in (scales, cache["sigma"][2]):
             np.testing.assert_allclose(got, want_scales, rtol=1e-12, atol=1e-12)
+
+
+def _bad_values(state):
+    """A value outside the support for each field of ``state`` that has one."""
+    scalars = {"sigma": -1.0, "lam": -1.0, "p1": 1.0, "phi_sq": 1.0}
+    out = {name: scalars[name] for name in fields(state) if name in scalars}
+    for name in ("weights", "gamma"):  # below the smallest weight
+        if name in state:
+            out[name] = np.full(len(state[name]), MIN_WEIGHT / 2)
+    for name in ("xi", "varpi"):  # below the angles' range
+        if name in state and len(state[name]):
+            out[name] = np.full(len(state[name]), -0.1)
+    if "v" in state:
+        out["v"] = np.array([0.5, 0.5, 0.0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "case", KERNELS, ids=lambda c: "-".join(str(x) for x in c if x is not None))
+def test_a_refused_call_leaves_no_entry_taken_for_current(case):
+    # one cache serves every call: a call that moves one field to a valid value
+    # and another out of the support returns -inf; the next call, with only the
+    # valid move, and a revert to the first state must still give the cache-free
+    # values, bit for bit
+    family, k, kind, proposal = case
+    kernel, data, spec = make_kernel(family, k, kind, proposal)
+    rng = np.random.default_rng(31)
+    first, other = first_state(kernel, rng), first_state(kernel, rng)
+    if proposal is not None:
+        from mixanchor.sampler import _k2_logpost as cached_target
+
+        def call(state, cache):
+            return cached_target(data, spec, **fields(state), cache=cache)
+    elif family == "gaussian":
+        def call(state, cache):
+            return _gaussian_logpost(data, spec, **fields(state), cache=cache)
+    else:
+        def call(state, cache):
+            return _rate_logpost(data, spec, family, **fields(state), cache=cache)
+
+    def bits(state, cache=None):
+        return float(call(state, cache)).hex()
+
+    bad = _bad_values(first)
+    tried = 0
+    for moved in fields(first):
+        for broken, value in bad.items():
+            if broken == moved:
+                continue
+            cache = {}
+            assert bits(first, cache) == bits(first)
+            refused = {**first, moved: other[moved], broken: value}
+            assert call(refused, cache) == -math.inf
+            valid = {**first, moved: other[moved]}
+            assert bits(valid, cache) == bits(valid)
+            assert bits(first, cache) == bits(first)
+            tried += 1
+    assert tried >= 6
