@@ -490,6 +490,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's error names the allocation that failed
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this run{detail}; ask for fewer iterations, "
+              f"chains or draws", file=sys.stderr)
+        return EXIT_VALIDATION
     except (RuntimeError, ArithmeticError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

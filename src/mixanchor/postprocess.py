@@ -309,7 +309,10 @@ def detect_switching(trace: PermutationTrace) -> SwitchReport:
     if len(trace) == 0:
         raise ValueError("empty permutation trace")
     r = trace.r
-    distinct = len(np.unique(r, axis=0))
+    # equal rows are adjacent once sorted; ``np.unique(r, axis=0)`` would count
+    # them too, but it imports ``numpy.ma``, which no other step needs
+    ordered = r[np.lexsort(r.T)]
+    distinct = 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
     changed = np.any(r[1:] != r[:-1], axis=1)
     transitions = int(np.sum(changed))
     run_starts = np.flatnonzero(changed) + 1
@@ -418,6 +421,22 @@ def kmeans(points: np.ndarray, k: int, n_restarts: int = 10, seed: int = 0,
     return best
 
 
+def _column_medians(points: np.ndarray) -> np.ndarray:
+    """``np.median(points, axis=0)`` to the bit, for a nonempty ``points``.
+
+    The steps are numpy's: a partition at the middle one or two rows and the
+    last (where a NaN goes), the mean of the middle rows, and that NaN where
+    a column holds one.  ``np.median`` itself imports ``numpy.ma`` for its NaN
+    check.
+    """
+    n = len(points)
+    middle = slice(n // 2 - 1 + n % 2, n // 2 + 1)
+    part = np.partition(points, [*range(n)[middle], -1], axis=0)
+    medians = np.mean(part[middle], axis=0)
+    np.copyto(medians, part[-1], where=np.isnan(part[-1]))
+    return medians
+
+
 def kmeans_summary(draws: DrawMatrix, seed: int = 0):
     """Cluster the pooled per-component points into ``draws.k`` clusters and
     summarise each cluster.
@@ -430,9 +449,7 @@ def kmeans_summary(draws: DrawMatrix, seed: int = 0):
     points = _component_points(draws.locs, draws.scales, draws.weights)
     points = points.reshape(-1, points.shape[-1])
     centres, labels, objective, history = kmeans(points, draws.k, seed=seed)
-    medians = np.stack(
-        [np.median(points[labels == j], axis=0) for j in range(draws.k)]
-    )
+    medians = np.stack([_column_medians(points[labels == j]) for j in range(draws.k)])
     order = np.argsort(centres[:, 0])
     columns = ["loc"] + (["scale"] if draws.scales is not None else []) + ["weight"]
     return {
@@ -448,11 +465,36 @@ def kmeans_summary(draws: DrawMatrix, seed: int = 0):
 # summaries
 
 
+_LEVELS = np.true_divide([2.5, 50.0, 97.5], 100)  # as ``np.percentile`` scales them
+
+
+def _summary_quantiles(x: np.ndarray) -> np.ndarray:
+    """``np.percentile(x, [2.5, 50, 97.5])`` to the bit, for a finite 1-d ``x``.
+
+    These are numpy's steps for its default linear interpolation between
+    neighbouring order statistics, the partition included (it decides the
+    sign of a zero); ``np.percentile`` itself calls ``np.unique``, which
+    imports ``numpy.ma``.
+    """
+    index = (len(x) - 1) * _LEVELS
+    below = np.floor(index)
+    above = below + 1
+    last = index >= len(x) - 1
+    below[last] = above[last] = -1
+    gamma = index - below
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    part = x.copy()
+    part.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    lo, hi = part[below], part[above]
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
 def _stat_row(name: str, x: np.ndarray) -> dict:
     bad = np.flatnonzero(~np.isfinite(x))
     if len(bad):
         raise ValueError(f"cannot summarise column {name!r}: pooled draw {bad[0]} is {x[bad[0]]}")
-    q025, median, q975 = np.percentile(x, [2.5, 50.0, 97.5])
+    q025, median, q975 = _summary_quantiles(x)
     return {
         "mean": float(np.mean(x)),
         "median": float(median),

@@ -42,15 +42,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .likelihood import Dataset, _any_nonpositive, _gaussian_logpost, _rate_logpost
-# the k = 2 kernel's cached target, under the name the layer tracer of
-# ``bench/spans.py`` wraps; ``likelihood._k2_logpost`` is its uncached reference
-from .likelihood import _k2_cached_logpost as _k2_logpost
+from .likelihood import _NO_VARPI, Dataset, _any_nonpositive, _gaussian_logpost, _rate_logpost
 from .params import MIN_WEIGHT
 from .priors import PriorSpec, _betaln, sample_prior, sample_varpi
-from .transforms import _k2_simplex
-# not called here: the layer tracer of ``bench/spans.py`` wraps them under these names
-from .likelihood import loglik_gaussian_arrays  # noqa: F401
+from .transforms import _k2_angles, _k2_simplex, _weight_pair
+# not called here: the layer tracer of ``bench/spans.py`` wraps them under these
+# names, and ``_k2_logpost`` is the k = 2 kernel's uncached reference target
+from .likelihood import _k2_logpost, loglik_gaussian_arrays  # noqa: F401
 from .priors import _log_beta, _log_dirichlet  # noqa: F401
 from .transforms import standard_arrays_from_angular  # noqa: F401
 
@@ -355,8 +353,15 @@ def _on(field, proposal, sign=None):
 
 
 def _fields(state: dict) -> dict:
-    """A state's coordinates, without its cache."""
-    return {name: value for name, value in state.items() if name != "cache"}
+    """A state's recorded coordinates: all but its cache and the k = 2 kernel's
+    scale simplex ``v`` with its log-Jacobian, which no ``Chain`` field holds."""
+    return {name: value for name, value in state.items() if name not in ("cache", "v", "log_jac")}
+
+
+def _gaussian_row(state: dict) -> dict:
+    """A Gaussian state's ``Chain`` fields, the locations and scales read from its cache."""
+    cache = state["cache"]
+    return {**_fields(state), "locs": cache["mu"][1], "scales": cache["sigma"][2]}
 
 
 def _own_cache(state: dict) -> None:
@@ -396,12 +401,13 @@ def _run_chain(kernel, family: str, k: int, config: RunConfig, rng):
 
     A kernel is ``(blocks, target, init, row)``.  Its states are dicts keyed
     by the target's argument names; ``init(rng)`` draws a candidate initial
-    state and ``row(state)`` maps ``Chain`` fields to one sweep's values.
+    state (``None`` outside the support) and ``row(state)`` maps ``Chain``
+    fields to one sweep's values.
     """
     blocks, target, init, row = kernel
     for _ in range(100):
         state = init(rng)
-        if np.isfinite(lp := target(state)):
+        if state is not None and np.isfinite(lp := target(state)):
             break
     else:
         raise _NoInitialState("could not find a finite initial log-posterior")
@@ -566,12 +572,9 @@ def _sample(build, data: Dataset, family: str, k: int, prior_spec, config,
 # Gaussian sampler, general k
 
 
-def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
-    n = data.n
-    mu0 = float(np.mean(data.values))
-    sigma0 = float(np.std(data.values, ddof=1))
-    scalar = SCALAR_RATE
-    vector = VECTOR_RATE if k > 2 else scalar
+def _gaussian_init(prior_spec, k: int, mu0: float, sigma0: float):
+    """``init(rng)`` of the Gaussian kernels: a prior draw of the compact block,
+    with the globals at ``mu0`` and ``sigma0``."""
 
     def init(rng):
         draws = sample_prior(prior_spec, k, "gaussian", 1, rng)
@@ -585,6 +588,16 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
             "xi": draws.xi[0].copy(),
             "cache": {},
         }
+
+    return init
+
+
+def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
+    n = data.n
+    sigma0 = float(np.std(data.values, ddof=1))
+    scalar = SCALAR_RATE
+    vector = VECTOR_RATE if k > 2 else scalar
+    init = _gaussian_init(prior_spec, k, float(np.mean(data.values)), sigma0)
 
     def refresh_xi(rng, xi, _):
         return rng.uniform(0.0, HALF_PI, size=k - 1), 0.0
@@ -622,11 +635,7 @@ def _gaussian_kernel(data, family, k, prior_spec, config) -> tuple:
         _own_cache(s)
         return _gaussian_logpost(data, prior_spec, **s)
 
-    def row(s):
-        cache = s["cache"]
-        return {**_fields(s), "locs": cache["mu"][1], "scales": cache["sigma"][2]}
-
-    return tuple(blocks), target, init, row
+    return tuple(blocks), target, init, _gaussian_row
 
 
 def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig,
@@ -649,10 +658,10 @@ def mwg_gaussian(data: Dataset, k: int, prior_spec: PriorSpec, config: RunConfig
 def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
     n = data.n
     xbar = float(np.mean(data.values))
-    svar = float(np.var(data.values, ddof=1))
+    sd = float(np.std(data.values, ddof=1))
     ig_shape = (n + 1) / 2.0
-    ig_scale = (n - 1) * svar / 2.0
-    mu_scale = 2.0 * float(np.std(data.values, ddof=1)) / math.sqrt(n)
+    ig_scale = (n - 1) * float(np.var(data.values, ddof=1)) / 2.0
+    prior_draw = _gaussian_init(prior_spec, 2, xbar, sd)
     if config.proposal == 2:
         weight_proposal, simplex_proposal = _logit_walk, _simplex_log_ratio_walk
         kind, scale = "width", 0.5
@@ -661,16 +670,21 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
         simplex_proposal = partial(_dirichlet_proposal, offset=0.0)
         kind, scale = "concentration", float(n)
 
+    def scale_fields(v):
+        """The fields a scale simplex ``v`` sets; ``None`` off the open simplex,
+        where the log-Jacobian is log 0."""
+        if min(v.tolist()) <= 0.0 or v[0] >= 1.0:
+            return None
+        phi_sq, xi, log_jac = _k2_angles(v)
+        return {"v": v, "phi_sq": phi_sq, "xi": xi, "log_jac": log_jac}
+
     def init(rng):
-        draws = sample_prior(prior_spec, 2, "gaussian", 1, rng)
-        return {
-            "mu": xbar,
-            "sigma": math.sqrt(svar),
-            "p1": float(draws.weights[0, 0]),
-            "v": _k2_simplex(float(draws.phi_sq[0]), float(draws.xi[0, 0])),
-            "sign": int(draws.phi_sign[0]),
-            "cache": {},
-        }
+        state = prior_draw(rng)
+        angles = scale_fields(_k2_simplex(state["phi_sq"], state["xi"].item(0)))
+        if angles is None:
+            return None
+        return {**state, "weights": _weight_pair(state["weights"].item(0)), "varpi": _NO_VARPI,
+                **angles}
 
     def mean_move(rng, mu, eps):
         # independence proposal at the sample mean
@@ -681,34 +695,30 @@ def _gaussian_k2_kernel(data, family, k, prior_spec, config) -> tuple:
         # independence Inverse-Gamma anchored at the sample variance
         return _invgamma_sigma_proposal(rng, sigma, ig_shape, ig_scale)
 
-    def row(s):
-        cache = s["cache"]
-        angles = cache["v"]
-        return {
-            "mu": s["mu"],
-            "sigma": s["sigma"],
-            "weights": cache["p1"][1],
-            "locs": cache["mu"][1],
-            "scales": cache["sigma"][2],
-            "phi_sq": angles[1],
-            "phi_sign": s["sign"],
-            "xi": angles[2],
-            "varpi": (),
-        }
+    def weight_move(rng, state, eps):
+        p1, log_q = weight_proposal(rng, state["weights"].item(0), eps)
+        return (None if p1 is None else {**state, "weights": _weight_pair(p1)}), log_q
+
+    def scale_move(rng, state, eps):
+        # the joint (phi_sq, eta1_sq, eta2_sq) move after a fair sign draw
+        sign = 1 if rng.random() < 0.5 else -1
+        v, log_q = simplex_proposal(rng, state["v"], eps)
+        angles = None if v is None else scale_fields(v)
+        return (None if angles is None else {**state, **angles, "phi_sign": sign}), log_q
 
     blocks = (
-        _Block("mu", _on("mu", mean_move), "width", mu_scale, SCALAR_RATE),
+        _Block("mu", _on("mu", mean_move), "width", 2.0 * sd / math.sqrt(n), SCALAR_RATE),
         _Block("sigma", _on("sigma", variance_move)),
-        _Block("p", _on("p1", weight_proposal), kind, scale, SCALAR_RATE),
-        # joint (phi_sq, eta1_sq, eta2_sq) block plus a fair sign draw
-        _Block("v", _on("v", simplex_proposal, sign="sign"), kind, scale, VECTOR_RATE),
+        _Block("p", weight_move, kind, scale, SCALAR_RATE),
+        _Block("v", scale_move, kind, scale, VECTOR_RATE),
     )
 
     def target(s):
         _own_cache(s)
-        return _k2_logpost(data, prior_spec, **s)
+        return _gaussian_logpost(data, prior_spec, s["mu"], s["sigma"], s["weights"], s["phi_sq"],
+                                 s["phi_sign"], s["varpi"], s["xi"], s["cache"]) - s["log_jac"]
 
-    return blocks, target, init, row
+    return blocks, target, init, _gaussian_row
 
 
 def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig,
@@ -720,9 +730,11 @@ def mwg_gaussian_k2(data: Dataset, prior_spec: PriorSpec, config: RunConfig,
     variant 2 walks the logit weight and the log-ratio simplex coordinates.
     Both variants propose the globals independently: the mean from a normal
     law at the sample mean, the variance from an Inverse-Gamma law anchored
-    at the sample variance.  The target is the general Gaussian one measured
-    through ``eta1_sq`` (``likelihood._k2_logpost``), run through its cached
-    fast path ``likelihood._k2_cached_logpost``, to the same bits.
+    at the sample variance.  A state is the general kernel's, with no
+    location angle, plus the scale simplex ``v = (phi_sq, eta1_sq, eta2_sq)``
+    the moves act on and the log-Jacobian of ``xi -> eta1_sq``; the target is
+    the general cached one less that log-Jacobian, which is
+    ``likelihood._k2_logpost`` to the same bits.
     """
     return _sample(_gaussian_k2_kernel, data, "gaussian", 2, prior_spec, config, render)
 

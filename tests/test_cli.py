@@ -415,6 +415,32 @@ class TestFit:
         assert not (tmp_path / "new").exists()
         assert not any(kept.iterdir())
 
+    @pytest.mark.parametrize("chains", (1, 2))
+    def test_fit_out_of_memory_exits_2_and_removes_its_output(self, chains, tmp_path, capsys,
+                                                              monkeypatch):
+        # a chain's storage too large to allocate exits 2 with a message, not a numpy
+        # traceback; in a pooled fit the error is raised in a worker
+        from mixanchor import sampler
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_memory(kernel, family, k, config, rng):
+            raise MemoryError("Unable to allocate 931. GiB for an array")
+
+        monkeypatch.setattr(sampler, "_run_chain", no_memory)
+        data = tmp_path / "data.csv"
+        data.write_text("value\n-1\n2\n3\n")
+        out = tmp_path / "run"
+        code = main(["fit", "--family", "gaussian", "--k", "2", "--data", str(data),
+                     "--chains", str(chains), "--iters", "200", "--burnin", "50",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory") and "931. GiB" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_failure_keeps_a_made_directory_that_holds_a_file(self, tmp_path):
         # a chain CSV written before a later step fails is never deleted
         out = tmp_path / "a" / "b"
@@ -982,7 +1008,8 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(module):
 
 def test_gaussian_and_exponential_fits_and_summarize_load_no_scipy(tmp_path):
     # relabelling runs its own assignment solver and the proposal and prior
-    # densities use math.lgamma, so these commands never import scipy
+    # densities use math.lgamma, so these commands never import scipy; nor
+    # numpy.ma, which np.unique loads (about 25 ms)
     gauss, expo = tmp_path / "g.csv", tmp_path / "e.csv"
     gauss.write_text("value\n" + "".join(f"{v}\n" for v in (-4.1, -3.2, 0.3, 1.1, 9.8, 10.4)))
     expo.write_text("value\n" + "".join(f"{v}\n" for v in (0.2, 0.9, 1.3, 4.0, 6.5, 7.1)))
@@ -997,12 +1024,13 @@ def test_gaussian_and_exponential_fits_and_summarize_load_no_scipy(tmp_path):
     script = (
         "import json, sys\nfrom mixanchor.cli import main\n"
         f"codes = [main(argv) for argv in json.loads({json.dumps(runs)!r})]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      'numpy.ma' in sys.modules)"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0] [] False"
 
 
 def test_cli_import_and_one_chain_fit_load_no_process_pool(tmp_path):

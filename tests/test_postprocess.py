@@ -21,9 +21,11 @@ from mixanchor.postprocess import (
     DENSITY_BLOCK_CELLS,
     DrawMatrix,
     PermutationTrace,
+    _column_medians,
     _d2_seeds,
     _lloyd,
     _solve_assignments,
+    _summary_quantiles,
     density_curve,
     detect_switching,
     find_map,
@@ -201,6 +203,32 @@ class TestDetectSwitching:
             traces.append(perms[np.repeat(rng.integers(0, 3, T), rng.integers(1, 9, T))])
         for r in traces:
             assert detect_switching(PermutationTrace(r)).longest_constant_run == loop_longest(r)
+
+    def test_distinct_count_matches_np_unique(self):
+        # up to k = 20, where a base-k code of a row would overflow int64
+        rng = np.random.default_rng(19)
+        for k in (2, 3, 5, 20):
+            pool = np.array([rng.permutation(k) for _ in range(6)])
+            for T in (1, 2, 37, 400):
+                r = pool[rng.integers(0, len(pool), T)]
+                report = detect_switching(PermutationTrace(r))
+                assert report.distinct_permutations == len(np.unique(r, axis=0))
+
+
+def test_summary_quantiles_and_medians_are_numpy_bits():
+    # numpy's own functions import numpy.ma; these replicas must not move a bit,
+    # signed zeros and NaNs included
+    rng = np.random.default_rng(23)
+    for n in (*range(1, 40), 101, 2000, 5001):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4)
+        for values in (x, np.round(x), np.round(x) * 0.0):
+            want = np.percentile(values, [2.5, 50.0, 97.5])
+            assert want.tobytes() == _summary_quantiles(values).tobytes()
+        points = rng.standard_normal((n, 3))
+        for values in (points, np.round(points) * 0.0):
+            assert np.median(values, axis=0).tobytes() == _column_medians(values).tobytes()
+        points[rng.integers(n), 1] = np.nan
+        assert np.median(points, axis=0).tobytes() == _column_medians(points).tobytes()
 
 
 class TestKmeans:

@@ -134,11 +134,31 @@ def fields(state):
     return {name: value for name, value in state.items() if name != "cache"}
 
 
+def gaussian_fields(state):
+    """The arguments of ``_gaussian_logpost`` in a Gaussian state: all fields but
+    the k = 2 kernel's scale simplex ``v`` and its log-Jacobian."""
+    return {name: value for name, value in fields(state).items() if name not in ("v", "log_jac")}
+
+
+def k2_args(state):
+    """``(mu, sigma, p1, v, sign)`` of a k = 2 kernel state, as the uncached k = 2
+    targets take them."""
+    return state["mu"], state["sigma"], state["weights"][0], state["v"], state["phi_sign"]
+
+
+def k2_target(data, spec, state, cache=None):
+    """The k = 2 kernel's target without the kernel: the general one less the
+    state's log-Jacobian."""
+    return _gaussian_logpost(data, spec, **gaussian_fields(state), cache=cache) - state["log_jac"]
+
+
 def uncached(family, data, spec, state):
     """``(cache-free target, reference)`` for one state."""
-    if "p1" in state:
-        return (_k2_logpost(data, spec, **fields(state)),
-                reference_k2_logpost(data, spec, **fields(state)))
+    if "log_jac" in state:
+        bare = k2_target(data, spec, state)
+        # the uncached k = 2 target at the same state gives the same bits
+        assert float(_k2_logpost(data, spec, *k2_args(state))).hex() == float(bare).hex()
+        return bare, reference_k2_logpost(data, spec, *k2_args(state))
     if family == "gaussian":
         return (_gaussian_logpost(data, spec, **fields(state)),
                 reference_gaussian_logpost(data, spec, **fields(state)))
@@ -150,7 +170,7 @@ def first_state(kernel, rng):
     _, target, init, _ = kernel
     while True:
         state = init(rng)
-        if math.isfinite(target(state)):
+        if state is not None and math.isfinite(target(state)):
             return state
 
 
@@ -191,13 +211,14 @@ def test_cached_target_matches_cache_free_and_reference_bits(case, seed, moves):
             if proposal is not None:
                 v = state["v"]
                 xi = np.array([math.atan2(math.sqrt(v[2]), math.sqrt(v[1]))])
-                weights = np.array([state["p1"], 1.0 - state["p1"]])
+                weights = np.array([state["weights"][0], 1.0 - state["weights"][0]])
                 locs, scales, _ = standard_arrays_from_angular(
-                    state["mu"], state["sigma"], weights, float(v[0]), state["sign"],
+                    state["mu"], state["sigma"], weights, float(v[0]), state["phi_sign"],
                     np.empty(0), xi)
                 assert np.array_equal(recorded["scales"], scales)
                 assert np.array_equal(recorded["weights"], weights)
                 assert np.array_equal(recorded["xi"], xi) and recorded["phi_sq"] == v[0]
+                assert "v" not in recorded and "log_jac" not in recorded
             elif family == "gaussian":
                 locs, scales, _ = standard_arrays_from_angular(
                     state["mu"], state["sigma"], state["weights"], state["phi_sq"],
@@ -235,9 +256,12 @@ def test_no_block_mutates_a_state_in_place(case):
             before, cache_before = _snapshot(state), dict(state["cache"])
             proposed, _ = block.propose(rng, state, block.scale)
             if proposed is not None:
-                # a block replaces one field (the k = 2 radius also redraws the sign)
+                # a block replaces one field (the k = 2 radius also redraws the sign, and
+                # the k = 2 scale simplex also sets the angles and log-Jacobian it maps to)
                 moved = {name for name in fields(state) if proposed[name] is not state[name]}
-                assert len(moved - {"phi_sign", "sign"}) <= 1
+                if "v" in moved:
+                    moved -= {"phi_sq", "xi", "log_jac"}
+                assert len(moved - {"phi_sign"}) <= 1
                 proposal_before = _snapshot(proposed)
                 target(proposed)
                 assert _unchanged(proposal_before, proposed)
@@ -328,7 +352,7 @@ def test_k3_locations_and_scales_match_the_closed_form():
 
 def _bad_values(state):
     """A value outside the support for each field of ``state`` that has one."""
-    scalars = {"sigma": -1.0, "lam": -1.0, "p1": 1.0, "phi_sq": 1.0}
+    scalars = {"sigma": -1.0, "lam": -1.0, "phi_sq": 1.0}
     out = {name: scalars[name] for name in fields(state) if name in scalars}
     for name in ("weights", "gamma"):  # below the smallest weight
         if name in state:
@@ -336,8 +360,6 @@ def _bad_values(state):
     for name in ("xi", "varpi"):  # below the angles' range
         if name in state and len(state[name]):
             out[name] = np.full(len(state[name]), -0.1)
-    if "v" in state:
-        out["v"] = np.array([0.5, 0.5, 0.0])
     return out
 
 
@@ -353,10 +375,8 @@ def test_a_refused_call_leaves_no_entry_taken_for_current(case):
     rng = np.random.default_rng(31)
     first, other = first_state(kernel, rng), first_state(kernel, rng)
     if proposal is not None:
-        from mixanchor.sampler import _k2_logpost as cached_target
-
         def call(state, cache):
-            return cached_target(data, spec, **fields(state), cache=cache)
+            return k2_target(data, spec, state, cache)
     elif family == "gaussian":
         def call(state, cache):
             return _gaussian_logpost(data, spec, **fields(state), cache=cache)
