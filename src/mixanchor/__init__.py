@@ -27,7 +27,6 @@ from .transforms import (
     build_basis,
     eta_from_angles,
     from_alpha_tau,
-    gamma_eta_to_alpha_tau,
     gamma_from_angles,
     mixture_moments,
     standard_from_angular,
@@ -53,7 +52,6 @@ __all__ = [
     "build_basis",
     "eta_from_angles",
     "from_alpha_tau",
-    "gamma_eta_to_alpha_tau",
     "gamma_from_angles",
     "mixture_moments",
     "standard_from_angular",

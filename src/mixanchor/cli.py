@@ -201,12 +201,12 @@ def _density_grid(pooled) -> np.ndarray:
     return np.linspace(lo, hi, 512)
 
 
-def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
-    """Write ``summary.json`` (strict JSON) and ``density.csv``, both computed
-    before either is written.
+def _summary_tables(pooled, out_dir: Path) -> tuple[dict, dict]:
+    """``summary.json`` (strict JSON text) and ``density.csv`` (columns) of the
+    pooled draws, by path, computed but not written.
 
-    Returns both paths and the wall time in seconds of the summary (MAP
-    relabelling, switch detection, k-means and the tables) and of the density.
+    Also returns the wall time in seconds of the summary (MAP relabelling,
+    switch detection, k-means and the tables) and of the density.
     """
     clock = time.perf_counter
     start = clock()
@@ -216,11 +216,18 @@ def _write_summary(pooled, out_dir: Path) -> tuple[list, dict]:
     grid = _density_grid(pooled)
     density = density_curve(pooled, grid)
     density_s = clock() - start
-    text = json.dumps(summary, indent=2, allow_nan=False)
-    summary_path, density_path = out_dir / "summary.json", out_dir / "density.csv"
-    summary_path.write_text(text, encoding="utf-8")
-    write_table(density_path, [("x", grid), ("density", density)])
-    return [summary_path, density_path], {"summary_s": summary_s, "density_s": density_s}
+    tables = {out_dir / "summary.json": json.dumps(summary, indent=2, allow_nan=False),
+              out_dir / "density.csv": [("x", grid), ("density", density)]}
+    return tables, {"summary_s": summary_s, "density_s": density_s}
+
+
+def _write_tables(tables: dict) -> None:
+    """Write each path's text, or its ``(name, values)`` columns as a CSV table."""
+    for path, content in tables.items():
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            write_table(path, content)
 
 
 def cmd_fit(args) -> int:
@@ -232,65 +239,68 @@ def cmd_fit(args) -> int:
     prior = _section(cfg, "prior", PriorSpec)
     config = _section(cfg, "run", RunConfig, iterations=args.iters, burn_in=args.burnin,
                       n_chains=args.chains, seed=args.seed, proposal=args.proposal)
+    kept = config.iterations - config.burn_in
+    if config.n_chains >= 2 and kept < 2:
+        raise ValueError(
+            f"--chains {config.n_chains} needs at least two retained draws per chain for the "
+            f"PSRF, but --iters {config.iterations} with --burnin {config.burn_in} keeps {kept}"
+        )
     data = _read_data_csv(args.data)
 
     sampler_name, runner = _select_sampler(family, k, config)
     out_dir = Path(args.out)
-    # made before sampling, so an unusable path is refused first, and removed
-    # again if the sampler refuses the data
-    with _removed_on_failure(out_dir):
+    chain_paths = [out_dir / f"chain_{i}.csv" for i in range(config.n_chains)]
+    manifest_path = out_dir / "manifest.json"
+    summary_paths = [out_dir / "summary.json", out_dir / "density.csv"]
+    # the directory is made before sampling, so an unusable path is refused
+    # first; everything that can refuse the run is computed before the first
+    # table is written, and a failure removes what the fit made
+    with _removed_on_failure(out_dir, *chain_paths, *summary_paths, manifest_path):
         out_dir.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
         result = runner(data, prior)
-    wall = time.perf_counter() - start
+        wall = time.perf_counter() - start
+        psrf = {}
+        if config.n_chains >= 2:
+            names = ("mu", "sigma") if family == "gaussian" else ("lam",)
+            psrf = {name: gelman_rubin(result.chains, name) for name in names}
+        tables, summary_timings = _summary_tables(pool_draws(result.chains), out_dir)
 
-    # every chain succeeded, so the tables rendered with them are written now
-    start = time.perf_counter()
-    chain_paths = []
-    for i, (chain, table) in enumerate(zip(result.chains, result.tables)):
-        path = out_dir / f"chain_{i}.csv"
-        chain_to_csv(chain, path, table)
-        chain_paths.append(str(path))
-    write_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for path, chain, table in zip(chain_paths, result.chains, result.tables):
+            chain_to_csv(chain, path, table)
+        write_s = time.perf_counter() - start
+        _write_tables(tables)
 
-    summary_paths, summary_timings = _write_summary(pool_draws(result.chains), out_dir)
-
-    psrf = {}
-    if config.n_chains >= 2:
-        names = ("mu", "sigma") if family == "gaussian" else ("lam",)
-        psrf = {name: gelman_rubin(result.chains, name) for name in names}
-
-    manifest = {
-        "chain_format_version": CHAIN_FORMAT_VERSION,
-        "package_version": __version__,
-        "family": family,
-        "k": k,
-        "sampler": sampler_name,
-        "seed": config.seed,
-        "config": {
-            "prior": dataclasses.asdict(prior),
-            "run": dataclasses.asdict(config),
-        },
-        "wall_clock_s": wall,
-        "timings": {"sample_s": wall, "chain_s": result.chain_s, "render_s": result.render_s,
-                    "workers": result.workers, "write_s": write_s, **summary_timings},
-        "n_observations": data.n,
-        "chains": [
-            {
-                "file": path,
-                "final_scales": result.final_scales[i],
-                "acceptance_rates": rates,
-            }
-            for i, (path, rates) in enumerate(zip(chain_paths, result.acceptance_rates()))
-        ],
-        "psrf": psrf,
-        "outputs": chain_paths + [str(path) for path in summary_paths],
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False), encoding="utf-8")
-    for path in manifest["outputs"]:
-        if not Path(path).exists():
-            raise RuntimeError(f"declared output missing: {path}")
+        manifest = {
+            "chain_format_version": CHAIN_FORMAT_VERSION,
+            "package_version": __version__,
+            "family": family,
+            "k": k,
+            "sampler": sampler_name,
+            "seed": config.seed,
+            "config": {
+                "prior": dataclasses.asdict(prior),
+                "run": dataclasses.asdict(config),
+            },
+            "wall_clock_s": wall,
+            "timings": {"sample_s": wall, "chain_s": result.chain_s,
+                        "render_s": result.render_s, "workers": result.workers,
+                        "write_s": write_s, **summary_timings},
+            "n_observations": data.n,
+            "chains": [
+                {
+                    "file": str(path),
+                    "final_scales": result.final_scales[i],
+                    "acceptance_rates": rates,
+                }
+                for i, (path, rates) in enumerate(zip(chain_paths, result.acceptance_rates()))
+            ],
+            "psrf": psrf,
+            "outputs": [str(path) for path in chain_paths + summary_paths],
+        }
+        manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False),
+                                 encoding="utf-8")
     return EXIT_OK
 
 
@@ -352,9 +362,9 @@ def cmd_summarize(args) -> int:
                              f"{args.data[0]} a {first.family} one with k = {first.k}: "
                              "summarize pools chains of one family and k")
     out_dir = Path(args.out)
-    with _removed_on_failure(out_dir):
+    with _removed_on_failure(out_dir, out_dir / "summary.json", out_dir / "density.csv"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_summary(pool_draws(chains), out_dir)
+        _write_tables(_summary_tables(pool_draws(chains), out_dir)[0])
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ produce proper posteriors at the minimal sample sizes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .priors import PriorSpec
 
 __all__ = [
-    "QuadratureSpec",
     "QuadResult",
     "MarginalEstimate",
     "gaussian_pair_closed",
@@ -36,34 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Rectangle and node counts for the two-observation quadrature.
-
-    The integration runs over ``z = 1/sigma`` on ``(z_lo, z_hi]`` and over a
-    standardised location coordinate on ``[-loc_halfwidth, loc_halfwidth]``
-    (the location integrand is a unit-width Gaussian ridge after recentring,
-    so ten standard deviations cover it).  Leaving ``z_lo``/``z_hi`` unset
-    picks a window from the integrand's own Gaussian decay in z.
-    """
-
-    n_z: int = 160
-    n_loc: int = 160
-    loc_halfwidth: float = 10.0
-    z_lo: float | None = None
-    z_hi: float | None = None
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if min(self.n_z, self.n_loc) < 64:
-            raise ValueError("node counts must be at least 64")
-        if self.loc_halfwidth <= 0 or not math.isfinite(self.loc_halfwidth):
-            raise ValueError("loc_halfwidth must be finite and positive")
-        for edge in (self.z_lo, self.z_hi):
-            if edge is not None and not math.isfinite(edge):
-                raise ValueError("z window must be finite")
-        if self.z_lo is not None and self.z_hi is not None and self.z_lo >= self.z_hi:
-            raise ValueError("need z_lo < z_hi")
+#: Gauss-Legendre nodes in ``z = 1/sigma`` and in the location coordinate
+N_NODES = 160
+#: half-width of the standardised location interval: the location integrand
+#: is a unit-width Gaussian ridge after recentring, so ten widths cover it
+LOC_HALFWIDTH = 10.0
+#: largest error estimate, relative to the value, that a quadrature may report
+REL_TOL = 1e-6
 
 
 class QuadResult(NamedTuple):
@@ -119,15 +96,15 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(shift + math.log(np.sum(np.exp(values - shift))))
 
 
-def _log_quad(pi, pj, ai, aj, ti, tj, x1, x2, n_z, n_loc, half, z_lo, z_hi):
-    """Log of the tensor quadrature plus log z-marginals at the window edges."""
-    nodes_z, weights_z = np.polynomial.legendre.leggauss(n_z)
-    nodes_v, weights_v = np.polynomial.legendre.leggauss(n_loc)
-    z = 0.5 * (z_hi - z_lo) * nodes_z + 0.5 * (z_hi + z_lo)
+def _log_quad(pi, pj, ai, aj, ti, tj, x1, x2, n_nodes, z_lo, z_hi):
+    """Log of the tensor quadrature on ``n_nodes`` nodes each way, plus log
+    z-marginals at the window edges."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    z = 0.5 * (z_hi - z_lo) * nodes + 0.5 * (z_hi + z_lo)
     z = np.concatenate([[z_lo], z, [z_hi]])  # edge rows carry no weight
-    log_wz = np.log(weights_z * 0.5 * (z_hi - z_lo))
-    v = half * nodes_v
-    log_wv = np.log(weights_v * half)
+    log_wz = np.log(weights * 0.5 * (z_hi - z_lo))
+    v = LOC_HALFWIDTH * nodes
+    log_wv = np.log(weights * LOC_HALFWIDTH)
 
     # recentre the location integral: for each z the integrand is a Gaussian
     # of unit width in v around the precision-weighted centre
@@ -150,31 +127,21 @@ def _log_quad(pi, pj, ai, aj, ti, tj, x1, x2, n_z, n_loc, half, z_lo, z_hi):
 
 def gaussian_pair_quad(
     pi: float, pj: float, ai: float, aj: float, ti: float, tj: float,
-    x1: float, x2: float, spec: QuadratureSpec | None = None,
+    x1: float, x2: float,
 ) -> QuadResult:
     """Tensor Gauss-Legendre evaluation of the raw (location, z) integral.
 
     The integrand is the two-observation cross term before any analytic
-    reduction, written in the ``z = 1/sigma`` variable; comparison against
+    reduction, written in the ``z = 1/sigma`` variable, over the window
+    :func:`_z_window` picks from its Gaussian decay in z; comparison against
     :func:`gaussian_pair_closed` is the propriety check.  The error estimate
-    is the change under halving both node counts; it must stay below
-    ``spec.rel_tol`` relative to the value.
+    is the change under halving both node counts plus the mass at the
+    window's edges; it must stay below ``REL_TOL`` relative to the value.
     """
     _check_pair_args(ti, tj, x1, x2)
-    spec = spec or QuadratureSpec()
     z_lo, z_hi = _z_window(ai, aj, ti, tj, x1, x2)
-    if spec.z_lo is not None:
-        z_lo = spec.z_lo
-    if spec.z_hi is not None:
-        z_hi = spec.z_hi
-    log_full, log_lo, log_hi = _log_quad(
-        pi, pj, ai, aj, ti, tj, x1, x2, spec.n_z, spec.n_loc,
-        spec.loc_halfwidth, z_lo, z_hi,
-    )
-    log_half, _, _ = _log_quad(
-        pi, pj, ai, aj, ti, tj, x1, x2, spec.n_z // 2, spec.n_loc // 2,
-        spec.loc_halfwidth, z_lo, z_hi,
-    )
+    log_full, log_lo, log_hi = _log_quad(pi, pj, ai, aj, ti, tj, x1, x2, N_NODES, z_lo, z_hi)
+    log_half, _, _ = _log_quad(pi, pj, ai, aj, ti, tj, x1, x2, N_NODES // 2, z_lo, z_hi)
     value = math.exp(log_full)
     # node-resolution error plus clipped-window mass; z = 0 is the true end
     # of the domain, so only a positive lower edge counts as truncation
@@ -183,7 +150,7 @@ def gaussian_pair_quad(
     error += math.exp(log_hi) * scale
     if z_lo > 0.0:
         error += math.exp(log_lo) * scale
-    if error > spec.rel_tol * max(value, 1e-300):
+    if error > REL_TOL * max(value, 1e-300):
         raise ArithmeticError(
             f"quadrature did not settle: value {value!r}, estimated error {error!r}"
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,13 +57,6 @@ class DrawMatrix:
     def k(self) -> int:
         return self.weights.shape[1]
 
-    def params(self, t: int) -> StandardParams:
-        if self.family == "gaussian":
-            return StandardParams(
-                "gaussian", self.weights[t], self.locs[t], self.scales[t]
-            )
-        return StandardParams(self.family, self.weights[t], self.locs[t])
-
 
 def pool_draws(chains) -> DrawMatrix:
     """One draw table from a list of chains of one family and ``k``: each
@@ -87,15 +81,28 @@ def pool_draws(chains) -> DrawMatrix:
 # MAP relabelling
 
 
-def find_map(draws: DrawMatrix) -> tuple[StandardParams, int]:
-    """Draw with the highest stored log-posterior, the earliest of ties; refused if not finite."""
+class MapDraw(NamedTuple):
+    """One stored draw's component parameters; ``scales`` is ``None`` for rate families."""
+
+    weights: np.ndarray
+    locs: np.ndarray
+    scales: np.ndarray | None
+
+
+def find_map(draws: DrawMatrix) -> tuple[MapDraw, int]:
+    """Draw with the highest stored log-posterior, the earliest of ties; refused if not finite.
+
+    The draw is returned as stored, so weights rounded in a chain CSV are not
+    held to a tighter rule than the other draws.
+    """
     if len(draws) == 0:
         raise ValueError("empty chain")
     idx = int(np.argmax(draws.log_posterior))  # the first NaN, if there is one
     if not math.isfinite(draws.log_posterior[idx]):
         raise ValueError(f"cannot pick the MAP draw: pooled draw {idx} has log_posterior "
                          f"{draws.log_posterior[idx]}")
-    return draws.params(idx), idx
+    scales = None if draws.scales is None else draws.scales[idx]
+    return MapDraw(draws.weights[idx], draws.locs[idx], scales), idx
 
 
 @dataclass(frozen=True)
@@ -264,7 +271,7 @@ def _solve_assignments(cost: np.ndarray) -> np.ndarray:
 
 
 def relabel_map(draws: DrawMatrix,
-                map_params: StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
+                map_params: MapDraw | StandardParams) -> tuple[DrawMatrix, PermutationTrace]:
     """Permute each draw to minimise its distance to the reference draw.
 
     The distance is the Euclidean norm over the per-component ``(loc, scale,
@@ -328,6 +335,10 @@ def detect_switching(trace: PermutationTrace) -> SwitchReport:
 # k-means summarisation
 
 
+KMEANS_RESTARTS = 10  # k-means++ seedings per clustering; the best objective wins
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
+
+
 def _sq_dist_rows(rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Squared distances as a (k, N) array, one row per centre.
 
@@ -388,9 +399,9 @@ def _d2_seeds(rows: np.ndarray, k: int, rng) -> np.ndarray | None:
     return rows[:, chosen].T.copy()
 
 
-def kmeans(points: np.ndarray, k: int, n_restarts: int = 10, seed: int = 0,
-           max_iter: int = 300):
-    """Lloyd iterations from k-means++ seeds, with restarts.
+def kmeans(points: np.ndarray, k: int, seed: int = 0):
+    """Lloyd iterations from k-means++ seeds, with ``KMEANS_RESTARTS`` restarts
+    of at most ``KMEANS_MAX_ITER`` iterations each.
 
     Each restart seeds its k centres by D² sampling (Arthur & Vassilvitskii
     2007) from one ``numpy.random.default_rng(seed)`` stream: the first
@@ -408,9 +419,9 @@ def kmeans(points: np.ndarray, k: int, n_restarts: int = 10, seed: int = 0,
     rows = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         seeds = _d2_seeds(rows, k, rng)
-        run = None if seeds is None else _lloyd(rows, seeds, max_iter)
+        run = None if seeds is None else _lloyd(rows, seeds, KMEANS_MAX_ITER)
         if run is None:
             continue
         centres, labels, history = run
@@ -612,11 +623,14 @@ def _chunk_density(dm: DrawMatrix, grid: np.ndarray, offset: np.ndarray, lo: int
     return buf[0].copy()  # frees the block buffer
 
 
-def mcse_mean(x: np.ndarray, n_batches: int = 30) -> float:
-    """Monte Carlo standard error of a chain mean, by batch means."""
+MCSE_BATCHES = 30  # batches of the batch-means standard error
+
+
+def mcse_mean(x: np.ndarray) -> float:
+    """Monte Carlo standard error of a chain mean, by ``MCSE_BATCHES`` batch means."""
     x = np.asarray(x, dtype=float)
-    n = len(x) // n_batches
+    n = len(x) // MCSE_BATCHES
     if n < 2:
-        raise ValueError("chain too short for the requested batch count")
-    batches = x[: n * n_batches].reshape(n_batches, n).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
+        raise ValueError(f"chain too short for {MCSE_BATCHES} batches of two or more draws")
+    batches = x[: n * MCSE_BATCHES].reshape(MCSE_BATCHES, n).mean(axis=1)
+    return float(batches.std(ddof=1) / math.sqrt(MCSE_BATCHES))

@@ -284,19 +284,21 @@ def standard_arrays_from_draws(
     return locs, scales
 
 
+QUANTILE_TOL = 1e-8  # width of the abscissa bracket at which a quantile bisection stops
+
+
 def mixture_normal_quantiles(
     weights: np.ndarray,
     locs: np.ndarray,
     scales: np.ndarray,
     quantile_levels,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Quantiles of Gaussian mixtures by bisection on the mixture CDF.
 
     ``weights``, ``locs`` and ``scales`` are (n, k) arrays describing n
     mixtures; the bisection runs on all of them simultaneously until the
-    abscissa bracket is below ``tol``.  The bracket relies on every mixture
-    having mean 0 and variance 1, for which a Chebyshev bound applies.
+    abscissa bracket is below ``QUANTILE_TOL``.  The bracket relies on every
+    mixture having mean 0 and variance 1, for which a Chebyshev bound applies.
     """
     from scipy.special import ndtr  # slow to import; only the quantile study needs it
 
@@ -310,7 +312,7 @@ def mixture_normal_quantiles(
         bound = 1.0 / math.sqrt(min(q, 1.0 - q)) + 1.0
         lo = np.full(n, -bound)
         hi = np.full(n, bound)
-        while np.max(hi - lo, initial=0.0) > tol:
+        while np.max(hi - lo, initial=0.0) > QUANTILE_TOL:
             mid = 0.5 * (lo + hi)
             z = (mid[:, None] - locs) / safe_scales
             cdf = np.sum(weights * ndtr(z), axis=1)
@@ -332,7 +334,7 @@ def prior_quantile_study(
 
     For each draw the requested quantiles of the corresponding mixture with
     global mean 0 and variance 1 are found by bisection on the mixture CDF
-    (absolute tolerance 1e-8 on the abscissa).  Returns an array of shape
+    (to ``QUANTILE_TOL`` on the abscissa).  Returns an array of shape
     ``(n_draws, len(quantile_levels))``.
     """
     draws = sample_prior(spec, k, "gaussian", n_draws, seed)

@@ -202,10 +202,10 @@ class RunResult:
     tables: list
     render_s: list
 
-    def acceptance_rates(self, start: int | None = None) -> list:
-        start = self.config.horizon if start is None else start
+    def acceptance_rates(self) -> list:
+        """Each chain's block acceptance rates past the adaptation horizon."""
         return [
-            {name: chain.acceptance_rate(name, start) for name in chain.accepts}
+            {name: chain.acceptance_rate(name, self.config.horizon) for name in chain.accepts}
             for chain in self.chains
         ]
 

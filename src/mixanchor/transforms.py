@@ -32,7 +32,6 @@ __all__ = [
     "to_alpha_tau",
     "from_alpha_tau",
     "to_gamma_eta",
-    "gamma_eta_to_alpha_tau",
     "build_basis",
     "gamma_from_angles",
     "angles_from_gamma",
@@ -45,6 +44,8 @@ __all__ = [
 
 #: residual beyond which a vector is rejected as lying off the hyperplane
 HYPERPLANE_TOL = 1e-8
+#: constraint residual beyond which global moments do not match a mixture's own
+MOMENT_TOL = 1e-8
 
 
 def mixture_moments(params: StandardParams) -> tuple[float, float | None]:
@@ -73,19 +74,19 @@ def check_alpha_tau(at: AlphaTau, p: np.ndarray, tol: float = CONSTRAINT_TOL) ->
         )
 
 
-def to_alpha_tau(params: StandardParams, g: GlobalMoments, tol: float = 1e-8) -> AlphaTau:
+def to_alpha_tau(params: StandardParams, g: GlobalMoments) -> AlphaTau:
     """Standardise component parameters against the global moments.
 
     ``alpha_i = (mu_i - mu) / sigma`` and ``tau_i = sigma_i / sigma``.  Raises
     if ``g`` is inconsistent with the mixture's own moments (constraint
-    residual beyond ``tol``).
+    residual beyond ``MOMENT_TOL``).
     """
     if params.family != "gaussian":
         raise ValueError("alpha/tau coordinates apply to location-scale mixtures")
     alpha = (params.locs - g.mu) / g.sigma
     tau = params.scales / g.sigma
     at = AlphaTau(alpha=alpha, tau=tau)
-    check_alpha_tau(at, params.weights, tol=tol)
+    check_alpha_tau(at, params.weights, tol=MOMENT_TOL)
     return at
 
 
@@ -104,15 +105,6 @@ def to_gamma_eta(at: AlphaTau, p: np.ndarray) -> GammaEta:
     check_alpha_tau(at, p)
     sq = np.sqrt(p)
     return GammaEta(gamma=sq * at.alpha, eta=sq * at.tau)
-
-
-def gamma_eta_to_alpha_tau(ge: GammaEta, p: np.ndarray) -> AlphaTau:
-    """Inverse of :func:`to_gamma_eta`; requires interior weights."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < MIN_WEIGHT):
-        raise ValueError("weights too close to the simplex boundary")
-    sq = np.sqrt(p)
-    return AlphaTau(alpha=ge.gamma / sq, tau=ge.eta / sq)
 
 
 def basis_rows(p: np.ndarray) -> np.ndarray:
@@ -331,15 +323,12 @@ def standard_arrays_from_angular(
 
 
 def angular_from_standard(
-    params: StandardParams, g: GlobalMoments | None = None
+    params: StandardParams,
 ) -> tuple[GlobalMoments, np.ndarray, AngularCoords]:
-    """Invert :func:`standard_from_angular` starting from component parameters.
-
-    When ``g`` is omitted it is computed from the mixture's own moments.
-    """
-    if g is None:
-        mean, var = mixture_moments(params)
-        g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
+    """Invert :func:`standard_from_angular` starting from component parameters,
+    anchored on the mixture's own moments."""
+    mean, var = mixture_moments(params)
+    g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
     at = to_alpha_tau(params, g)
     ge = to_gamma_eta(at, params.weights)
     phi, varpi = angles_from_gamma(ge.gamma, params.weights)

@@ -62,8 +62,8 @@ class TimedRun:
     def chains(self):
         return self.result.chains
 
-    def acceptance_rates(self, start=None):
-        return self.result.acceptance_rates(start)
+    def acceptance_rates(self):
+        return self.result.acceptance_rates()
 
 
 def _timed(runner, *args):

@@ -9,17 +9,20 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixanchor.chainio import chain_from_csv, chain_to_csv, write_table
 from mixanchor.cli import _removed_on_failure, main
 from mixanchor.likelihood import Dataset
-from mixanchor.params import StandardParams
+from mixanchor.params import FAMILIES, StandardParams
 from mixanchor.priors import PriorSpec
 from mixanchor.sampler import (
     Chain,
@@ -450,6 +453,55 @@ class TestFit:
                 (out / "chain_0.csv").write_text("iteration\n")
                 raise RuntimeError("a later step")
         assert (out / "chain_0.csv").read_text() == "iteration\n"
+
+    def test_too_few_retained_draws_refused_before_sampling(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the PSRF refused this run after sampling, and the chain tables, summary.json
+        # and density.csv stayed behind without a manifest
+        from mixanchor import cli
+
+        def never_sampled(*args):
+            raise AssertionError("sampled a run that was to be refused")
+
+        monkeypatch.setattr(cli, "mwg_gaussian", never_sampled)
+        data = tmp_path / "data.csv"
+        write_table(data, [("value", np.random.default_rng(1).normal(size=20))])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("unrelated")
+        for out in (tmp_path / "new", kept):
+            code = main(["fit", "--family", "gaussian", "--k", "2", "--iters", "2",
+                         "--burnin", "1", "--chains", "2", "--data", str(data),
+                         "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert all(flag in err for flag in ("--iters 2", "--burnin 1", "--chains 2"))
+        assert not (tmp_path / "new").exists()
+        assert [path.name for path in kept.iterdir()] == ["notes.txt"]
+
+    def test_failure_after_sampling_removes_every_table(self, tmp_path, capsys, monkeypatch):
+        # a refusal computed after sampling comes before the first table is written,
+        # and removes only what the fit made
+        from mixanchor import cli
+
+        def refused(chains, name):
+            raise ValueError("zero within-chain variance")
+
+        monkeypatch.setattr(cli, "gelman_rubin", refused)
+        data = tmp_path / "data.csv"
+        write_table(data, [("value", np.random.default_rng(2).normal(size=20))])
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("unrelated")
+        for out in (tmp_path / "new", kept):
+            code = main(["fit", "--family", "gaussian", "--k", "2", "--iters", "40",
+                         "--burnin", "10", "--chains", "2", "--data", str(data),
+                         "--out", str(out)])
+            assert code == 2
+            assert "zero within-chain variance" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert [path.name for path in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "unrelated"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_prior_draws_outside_the_support_exit_2(self, tmp_path, capsys, monkeypatch, cpus):
@@ -927,6 +979,28 @@ class TestSummarizeRefusals:
             assert "cannot pick the MAP draw" in capsys.readouterr().err
             assert kept.is_dir() and not any(kept.iterdir())
 
+    def test_rounded_map_weights_summarize(self, tmp_path):
+        # the MAP draw alone was rebuilt as validated parameters, so weights of
+        # 0.3333333 three times were refused for summing to 0.9999999
+        data = tmp_path / "data.csv"
+        write_table(data, [("value", np.random.default_rng(3).normal([-6.0, 0.0, 6.0], 1.0,
+                                                                     (15, 3)).ravel())])
+        run = tmp_path / "run"
+        assert main(["fit", "--family", "gaussian", "--k", "3", "--data", str(data),
+                     "--iters", "60", "--burnin", "10", "--seed", "4", "--out", str(run)]) == 0
+        rows = read_rows(run / "chain_0.csv")
+        lp = rows[0].index("log_posterior")
+        best = max(range(11, len(rows)), key=lambda i: float(rows[i][lp]))
+        for name in ("p1", "p2", "p3"):
+            rows[best][rows[0].index(name)] = "0.3333333"
+        rounded = tmp_path / "rounded.csv"
+        rounded.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "s"
+        assert main(["summarize", "--data", str(rounded), "--burnin", "10",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["map_relabelled"]["map_index"] == best - 11
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_log_posterior_is_not_the_map_draw(self, tmp_path, capsys, value):
         # argmax took the first NaN as the MAP draw and relabelled toward it
@@ -972,6 +1046,46 @@ class TestOracleCheck:
             "rate_marginal_identity",
             "single_observation_divergence",
         }
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+_NUMBERS = st.one_of(st.integers(0, 6).map(str), st.floats(0.01, 20.0).map(repr),
+                     st.floats(-20.0, 20.0).map(repr))
+_ODD_VALUES = st.sampled_from(["nan", "inf", "-1", "1e300", "1e-300", "x", "", "2.5"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family=st.sampled_from(FAMILIES), k=st.integers(2, 3),
+       values=st.lists(_NUMBERS, max_size=8), odd=st.lists(_ODD_VALUES, max_size=1),
+       iters=st.integers(1, 30), kept=st.integers(-1, 29), chains=st.integers(1, 2),
+       seed=st.integers(0, 3), proposal=st.sampled_from([None, None, None, 1, 2]))
+def test_fit_then_summarize_exit_0_or_2(family, k, values, odd, iters, kept, chains, seed,
+                                        proposal):
+    # every small data file and run either fits, leaving strict JSON, or is
+    # refused with exit 2, leaving nothing it made; and so does its summarize
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out, summ = Path(tmp, "data.csv"), Path(tmp, "run"), Path(tmp, "summ")
+        data.write_text("value\n" + "".join(f"{v}\n" for v in values + odd))
+        flags = [] if proposal is None else ["--proposal", str(proposal)]
+        code = main(["fit", "--family", family, "--k", str(k), "--iters", str(iters),
+                     "--burnin", str(max(iters - kept, 0)), "--chains", str(chains),
+                     "--seed", str(seed), "--data", str(data), "--out", str(out), *flags])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        for name in ("manifest.json", "summary.json"):
+            json.loads((out / name).read_text(), parse_constant=_refuse_constant)
+        code = main(["summarize", "--manifest", str(out / "manifest.json"), "--data",
+                     *sorted(map(str, out.glob("chain_*.csv"))), "--out", str(summ)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not summ.exists()
+        else:
+            json.loads((summ / "summary.json").read_text(), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "summarize"])

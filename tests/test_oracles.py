@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mixanchor import oracles
 from mixanchor.oracles import (
-    QuadratureSpec,
     gaussian_pair_closed,
     gaussian_pair_quad,
     marginal_one_obs_mc,
@@ -65,15 +65,11 @@ class TestQuadrature:
             quad = gaussian_pair_quad(*case)
             assert abs(quad.value - closed) < 1e-5 * closed
 
-    def test_reports_truncation_failure(self):
+    def test_reports_truncation_failure(self, monkeypatch):
         # a z-window cut through the mass cannot settle
-        spec = QuadratureSpec(z_lo=0.0, z_hi=0.3, rel_tol=1e-10)
+        monkeypatch.setattr(oracles, "_z_window", lambda *args: (0.0, 0.3))
         with pytest.raises(ArithmeticError, match="settle"):
-            gaussian_pair_quad(0.5, 0.5, 2.0, -2.0, 0.4, 0.4, 1.0, 0.0, spec)
-
-    def test_node_floor_enforced(self):
-        with pytest.raises(ValueError, match="64"):
-            QuadratureSpec(n_z=32)
+            gaussian_pair_quad(0.5, 0.5, 2.0, -2.0, 0.4, 0.4, 1.0, 0.0)
 
 
 class TestMarginalMonteCarlo:

@@ -19,6 +19,8 @@ from mixanchor.chainio import chain_from_csv
 from mixanchor.likelihood import Dataset
 from mixanchor.postprocess import (
     DENSITY_BLOCK_CELLS,
+    KMEANS_MAX_ITER,
+    KMEANS_RESTARTS,
     DrawMatrix,
     PermutationTrace,
     _column_medians,
@@ -251,7 +253,7 @@ class TestKmeans:
     def test_empty_cluster_degeneracy_raises(self):
         points = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]])
         with pytest.raises(ValueError, match="empty cluster"):
-            kmeans(points, 3, n_restarts=5, seed=6)
+            kmeans(points, 3, seed=6)
 
     def test_summary_orders_by_location(self):
         rng = np.random.default_rng(7)
@@ -605,7 +607,7 @@ class TestD2Seeding:
     def test_exactly_k_distinct_points_always_fit(self):
         # every seeding picks the k distinct values, so no restart collapses
         points = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [1, 50, 7], axis=0)
-        centres, labels, objective, history = kmeans(points, 3, n_restarts=20, seed=2)
+        centres, labels, objective, history = kmeans(points, 3, seed=2)
         assert objective == 0.0
         assert sorted(np.bincount(labels)) == [1, 7, 50]
 
@@ -622,11 +624,12 @@ class TestD2Seeding:
         # two equally good optima; the best run must be the first restart
         # that reaches the smallest objective
         points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        best = kmeans(points, 2, n_restarts=10, seed=3)
+        best = kmeans(points, 2, seed=3)
         rows = np.ascontiguousarray(points.T)
         rng = np.random.default_rng(3)
-        runs = [_lloyd(rows, _d2_seeds(rows, 2, rng), 300) for _ in range(10)]
-        first = min(range(10), key=lambda i: (runs[i][2][-1], i))
+        runs = [_lloyd(rows, _d2_seeds(rows, 2, rng), KMEANS_MAX_ITER)
+                for _ in range(KMEANS_RESTARTS)]
+        first = min(range(KMEANS_RESTARTS), key=lambda i: (runs[i][2][-1], i))
         np.testing.assert_array_equal(best[0], runs[first][0])
         assert best[3] == runs[first][2]
 

@@ -1,5 +1,6 @@
 """Prior sampling, density, and prior-predictive quantile tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,27 @@ class TestSamplePrior:
                     for j in range(i + 1, 3):
                         se = math.hypot(ses[i], ses[j])
                         assert abs(means[i] - means[j]) < 4 * se
+
+    @pytest.mark.parametrize("kind, k, scale_classes, loc_classes", [
+        ("double_uniform", 3, "abb", "aaa"),
+        ("double_uniform", 4, "abcc", "aabb"),
+        ("single_uniform", 3, "aaa", "aaa"),
+        ("single_uniform", 4, "aaaa", "aabb"),
+    ])
+    def test_label_asymmetry_of_the_prior(self, kind, k, scale_classes, loc_classes):
+        # E[p s^2] and E[p loc^2] per component at (0, 1): components of one class
+        # agree within 4 MCSE, components of different classes differ by over 10
+        draws = sample_prior(PriorSpec(kind=kind), k, "gaussian", 20000, seed=11)
+        locs, scales = standard_arrays_from_draws(draws)
+        for values, classes in ((draws.weights * scales**2, scale_classes),
+                                (draws.weights * locs**2, loc_classes)):
+            for i, j in itertools.combinations(range(k), 2):
+                diff = values[:, i] - values[:, j]
+                z = abs(diff.mean()) / (diff.std(ddof=1) / math.sqrt(len(diff)))
+                if classes[i] == classes[j]:
+                    assert z < 4, (i, j, z)
+                else:
+                    assert z > 10, (i, j, z)
 
     def test_rate_family_draws(self):
         draws = sample_prior(DOUBLE, 4, "poisson", 500, seed=1)
