@@ -1,7 +1,9 @@
 """Tour of the moment-anchored coordinates on a two-component mixture.
 
 Walks one mixture through every layer of the parameterisation: global
-moments, standardised offsets, sphere coordinates, angles, and back.
+moments, standardised offsets, sphere coordinates, angles, and back.  The
+offsets and sphere coordinates are computed here from the paper's formulas;
+``angular_from_standard`` goes from the mixture to the angles in one call.
 """
 
 import numpy as np
@@ -13,8 +15,6 @@ from mixanchor import (
     build_basis,
     mixture_moments,
     standard_from_angular,
-    to_alpha_tau,
-    to_gamma_eta,
 )
 
 params = StandardParams(
@@ -29,16 +29,18 @@ mean, var = mixture_moments(params)
 print(f"\nglobal moments: mean = {mean:.4f}, variance = {var:.6f}")
 
 g = GlobalMoments(mu=mean, sigma=np.sqrt(var))
-at = to_alpha_tau(params, g)
-print(f"\nstandardised offsets alpha = {np.round(at.alpha, 5)}")
-print(f"scale ratios         tau   = {np.round(at.tau, 5)}")
-print(f"constraint sum p*alpha           = {params.weights @ at.alpha:+.2e}")
-print(f"constraint sum p*(tau^2+alpha^2) = {params.weights @ (at.tau**2 + at.alpha**2):.15f}")
+alpha = (params.locs - g.mu) / g.sigma
+tau = params.scales / g.sigma
+print(f"\nstandardised offsets alpha = {np.round(alpha, 5)}")
+print(f"scale ratios         tau   = {np.round(tau, 5)}")
+print(f"constraint sum p*alpha           = {params.weights @ alpha:+.2e}")
+print(f"constraint sum p*(tau^2+alpha^2) = {params.weights @ (tau**2 + alpha**2):.15f}")
 
-ge = to_gamma_eta(at, params.weights)
-print(f"\nsphere coordinates gamma = {np.round(ge.gamma, 5)}, eta = {np.round(ge.eta, 5)}")
-print(f"radius split: phi^2 = {ge.phi_sq:.5f} (location share of the unit norm)")
-print(f"unit norm check: {np.sum(ge.gamma**2) + np.sum(ge.eta**2):.15f}")
+gamma = np.sqrt(params.weights) * alpha
+eta = np.sqrt(params.weights) * tau
+print(f"\nsphere coordinates gamma = {np.round(gamma, 5)}, eta = {np.round(eta, 5)}")
+print(f"radius split: phi^2 = {np.sum(gamma**2):.5f} (location share of the unit norm)")
+print(f"unit norm check: {np.sum(gamma**2) + np.sum(eta**2):.15f}")
 
 basis = build_basis(params.weights)
 print(f"\nhyperplane basis rows:\n{np.round(basis.vectors, 5)}")

@@ -10,9 +10,7 @@ minimal sample sizes.
 """
 
 from .params import (
-    AlphaTau,
     AngularCoords,
-    GammaEta,
     GaussianState,
     GlobalMoments,
     OrthonormalBasis,
@@ -26,20 +24,15 @@ from .transforms import (
     angular_from_standard,
     build_basis,
     eta_from_angles,
-    from_alpha_tau,
     gamma_from_angles,
     mixture_moments,
     standard_from_angular,
-    to_alpha_tau,
-    to_gamma_eta,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTau",
     "AngularCoords",
-    "GammaEta",
     "GaussianState",
     "GlobalMoments",
     "OrthonormalBasis",
@@ -51,11 +44,8 @@ __all__ = [
     "angular_from_standard",
     "build_basis",
     "eta_from_angles",
-    "from_alpha_tau",
     "gamma_from_angles",
     "mixture_moments",
     "standard_from_angular",
-    "to_alpha_tau",
-    "to_gamma_eta",
     "__version__",
 ]

@@ -191,8 +191,10 @@ def _summary_payload(pooled) -> dict:
 
 def _density_grid(pooled) -> np.ndarray:
     if pooled.family == "poisson":
-        top = int(np.ceil(pooled.locs.max() * 3 + 10))
-        return np.arange(0, top + 1, dtype=float)
+        # one point per count from 0 to top while that is at most 512 points,
+        # else 512 evenly spread counts
+        top = float(np.ceil(pooled.locs.max() * 3 + 10))
+        return np.unique(np.rint(np.linspace(0.0, top, int(min(top, 511.0)) + 1)))
     if pooled.family == "exponential":
         return np.linspace(1e-9, float(pooled.locs.max() * 6), 512)
     spread = float(pooled.scales.max())

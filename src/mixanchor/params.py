@@ -14,7 +14,9 @@ subject to ``sum_i p_i alpha_i = 0`` and ``sum_i p_i (tau_i^2 + alpha_i^2) = 1``
 equivalently ``sum_i sqrt(p_i) gamma_i = 0`` and
 ``sum_i (gamma_i^2 + eta_i^2) = 1``.  The squared radius ``phi_sq`` splits the
 unit norm between the location block (``sum gamma_i^2 = phi_sq``) and the
-scale block (``sum eta_i^2 = 1 - phi_sq``).
+scale block (``sum eta_i^2 = 1 - phi_sq``).  The offsets, ratios and sphere
+coordinates are intermediate arrays of :mod:`mixanchor.transforms`; the
+containers here hold the two ends of the map and the sampler states.
 
 All containers are frozen; arrays are copied in and marked read-only, so
 instances are safe to share between threads.
@@ -129,64 +131,6 @@ class GlobalMoments:
             raise ValueError("provide either (mu, sigma) or lam")
         if self.sigma is not None and self.mu is None:
             raise ValueError("mu is required alongside sigma")
-
-
-@dataclass(frozen=True)
-class AlphaTau:
-    """Standardised component offsets and scale ratios.
-
-    Given weights ``p`` the constraints ``sum p_i alpha_i = 0`` and
-    ``sum p_i (tau_i^2 + alpha_i^2) = 1`` hold; they are checked by
-    :func:`mixanchor.transforms.check_alpha_tau` where the weights are known.
-    """
-
-    alpha: np.ndarray
-    tau: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frozen_vector(self.alpha, "alpha"))
-        object.__setattr__(self, "tau", _frozen_vector(self.tau, "tau"))
-        if len(self.alpha) != len(self.tau):
-            raise ValueError("alpha and tau must have equal length")
-        if not np.all(self.tau > 0):
-            raise ValueError("tau entries must be strictly positive")
-
-    @property
-    def k(self) -> int:
-        return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class GammaEta:
-    """Sphere coordinates ``gamma_i = sqrt(p_i) alpha_i``, ``eta_i = sqrt(p_i) tau_i``.
-
-    The pair lies on the unit sphere of R^(2k): ``sum (gamma_i^2 + eta_i^2) = 1``.
-    Orthogonality to ``sqrt(p)`` is checked where the weights are available.
-    """
-
-    gamma: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", _frozen_vector(self.gamma, "gamma"))
-        object.__setattr__(self, "eta", _frozen_vector(self.eta, "eta"))
-        if len(self.gamma) != len(self.eta):
-            raise ValueError("gamma and eta must have equal length")
-        if np.any(np.abs(self.gamma) > 1 + CONSTRAINT_TOL):
-            raise ValueError("gamma entries must lie in [-1, 1]")
-        if np.any(self.eta < -CONSTRAINT_TOL) or np.any(self.eta > 1 + CONSTRAINT_TOL):
-            raise ValueError("eta entries must lie in [0, 1]")
-        norm = float(np.sum(self.gamma**2) + np.sum(self.eta**2))
-        if abs(norm - 1.0) > CONSTRAINT_TOL:
-            raise ValueError(f"(gamma, eta) must have unit norm, got {norm!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.gamma)
-
-    @property
-    def phi_sq(self) -> float:
-        return float(np.sum(self.gamma**2))
 
 
 @dataclass(frozen=True)

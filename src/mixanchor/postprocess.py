@@ -384,13 +384,17 @@ def _d2_seeds(rows: np.ndarray, k: int, rng) -> np.ndarray | None:
     The first centre is uniform over the points; each further one is drawn
     with probability proportional to the squared distance to its nearest
     chosen centre.  ``None`` means fewer than k distinct points remain to
-    choose from (the distance total is not positive).
+    choose from (the distance total is not positive); a total that is not
+    finite raises ``ValueError``.
     """
     n = rows.shape[1]
     chosen = [int(rng.integers(n))]
     nearest = _sq_dist_rows(rows, rows[:, chosen].T)[0]
     for _ in range(1, k):
         cdf = np.cumsum(nearest)
+        if not np.isfinite(cdf[-1]):
+            raise ValueError(f"cannot seed k-means: the squared distances to the nearest centre "
+                             f"sum to {cdf[-1]}, past the float range; the points are too far apart")
         if not cdf[-1] > 0:
             return None
         cdf /= cdf[-1]
@@ -414,19 +418,25 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
     each iteration (never increasing).  Nearest-centre ties resolve to the
     lowest cluster index; ties between restarts resolve to the earliest.
     A restart collapses when the points hold fewer than k distinct points
-    or a cluster empties; raises if every restart collapses.
+    or a cluster empties; raises if every restart collapses, and raises
+    ``ValueError`` naming the cause once a distance total or an objective is
+    not finite (points too far apart for squared distances in floats).
     """
     rows = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(KMEANS_RESTARTS):
-        seeds = _d2_seeds(rows, k, rng)
-        run = None if seeds is None else _lloyd(rows, seeds, KMEANS_MAX_ITER)
-        if run is None:
-            continue
-        centres, labels, history = run
-        if best is None or history[-1] < best[2]:
-            best = (centres, labels, history[-1], history)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(KMEANS_RESTARTS):
+            seeds = _d2_seeds(rows, k, rng)
+            run = None if seeds is None else _lloyd(rows, seeds, KMEANS_MAX_ITER)
+            if run is None:
+                continue
+            centres, labels, history = run
+            if not math.isfinite(history[-1]):
+                raise ValueError(f"k-means objective is {history[-1]}, past the float range; "
+                                 "the points are too far apart")
+            if best is None or history[-1] < best[2]:
+                best = (centres, labels, history[-1], history)
     if best is None:
         raise ValueError("every restart produced an empty cluster")
     return best

@@ -1,13 +1,21 @@
 """Exact, invertible transforms between standard and anchored coordinates.
 
-The chain of bijections (conditional on the weights ``p``) is
+Conditional on the weights ``p``, component parameters map to anchored
+coordinates through the paper's stages
 
-    (mu_i, sigma_i)  <->  (alpha_i, tau_i)  <->  (gamma_i, eta_i)
-                     <->  (phi_sq, varpi angles, xi angles)
+    (mu_i, sigma_i)  ->  alpha_i = (mu_i - mu) / sigma,  tau_i = sigma_i / sigma
+                     ->  gamma_i = sqrt(p_i) alpha_i,     eta_i = sqrt(p_i) tau_i
+                     ->  (phi_sq, varpi angles, xi angles)
 
-together with the global moments ``(mu, sigma)``.  All maps here are pure
-functions; round-trips reproduce their inputs to within 1e-10 and the
-constraint identities hold to within 1e-12.
+together with the global moments ``(mu, sigma)``.  Each direction is one
+array function: :func:`standard_arrays_from_angular` calls
+:func:`gamma_from_angles` and :func:`eta_from_angles`, and
+:func:`angular_arrays_from_standard` calls :func:`angles_from_gamma` and
+:func:`angles_from_eta`.  :func:`standard_from_angular` and
+:func:`angular_from_standard` are their wrappers on the validated containers
+of :mod:`mixanchor.params`.  All maps here are pure functions; round-trips
+reproduce their inputs to within 1e-10 and the constraint identities hold to
+within 1e-12.
 """
 
 from __future__ import annotations
@@ -19,9 +27,7 @@ import numpy as np
 from .params import (
     CONSTRAINT_TOL,
     MIN_WEIGHT,
-    AlphaTau,
     AngularCoords,
-    GammaEta,
     GlobalMoments,
     OrthonormalBasis,
     StandardParams,
@@ -29,9 +35,6 @@ from .params import (
 
 __all__ = [
     "mixture_moments",
-    "to_alpha_tau",
-    "from_alpha_tau",
-    "to_gamma_eta",
     "build_basis",
     "gamma_from_angles",
     "angles_from_gamma",
@@ -39,13 +42,11 @@ __all__ = [
     "angles_from_eta",
     "standard_from_angular",
     "angular_from_standard",
-    "check_alpha_tau",
+    "angular_arrays_from_standard",
 ]
 
 #: residual beyond which a vector is rejected as lying off the hyperplane
 HYPERPLANE_TOL = 1e-8
-#: constraint residual beyond which global moments do not match a mixture's own
-MOMENT_TOL = 1e-8
 
 
 def mixture_moments(params: StandardParams) -> tuple[float, float | None]:
@@ -55,56 +56,14 @@ def mixture_moments(params: StandardParams) -> tuple[float, float | None]:
     ``sum_i p_i sigma_i^2 + sum_i p_i (mu_i^2 - mean^2)``; rate families
     return ``None`` in the variance slot since only the mean anchors them.
     """
-    p, locs = params.weights, params.locs
+    if params.family != "gaussian":
+        return float(params.weights @ params.locs), None
+    return _gaussian_moments(params.weights, params.locs, params.scales)
+
+
+def _gaussian_moments(p: np.ndarray, locs: np.ndarray, scales: np.ndarray) -> tuple[float, float]:
     mean = float(p @ locs)
-    if params.family != "gaussian":
-        return mean, None
-    var = float(p @ params.scales**2 + p @ locs**2 - mean**2)
-    return mean, var
-
-
-def check_alpha_tau(at: AlphaTau, p: np.ndarray, tol: float = CONSTRAINT_TOL) -> None:
-    """Verify ``sum p_i alpha_i = 0`` and ``sum p_i (tau_i^2 + alpha_i^2) = 1``."""
-    s1 = float(p @ at.alpha)
-    s2 = float(p @ (at.tau**2 + at.alpha**2))
-    if abs(s1) > tol or abs(s2 - 1.0) > tol:
-        raise ValueError(
-            f"offset/scale constraints violated: sum p*alpha = {s1!r}, "
-            f"sum p*(tau^2 + alpha^2) = {s2!r}"
-        )
-
-
-def to_alpha_tau(params: StandardParams, g: GlobalMoments) -> AlphaTau:
-    """Standardise component parameters against the global moments.
-
-    ``alpha_i = (mu_i - mu) / sigma`` and ``tau_i = sigma_i / sigma``.  Raises
-    if ``g`` is inconsistent with the mixture's own moments (constraint
-    residual beyond ``MOMENT_TOL``).
-    """
-    if params.family != "gaussian":
-        raise ValueError("alpha/tau coordinates apply to location-scale mixtures")
-    alpha = (params.locs - g.mu) / g.sigma
-    tau = params.scales / g.sigma
-    at = AlphaTau(alpha=alpha, tau=tau)
-    check_alpha_tau(at, params.weights, tol=MOMENT_TOL)
-    return at
-
-
-def from_alpha_tau(at: AlphaTau, p: np.ndarray, g: GlobalMoments) -> StandardParams:
-    """Rebuild component parameters: ``mu_i = mu + sigma alpha_i``, ``sigma_i = sigma tau_i``."""
-    p = np.asarray(p, dtype=float)
-    check_alpha_tau(at, p)
-    locs = g.mu + g.sigma * at.alpha
-    scales = g.sigma * at.tau
-    return StandardParams(family="gaussian", weights=p, locs=locs, scales=scales)
-
-
-def to_gamma_eta(at: AlphaTau, p: np.ndarray) -> GammaEta:
-    """Map to sphere coordinates ``gamma_i = sqrt(p_i) alpha_i``, ``eta_i = sqrt(p_i) tau_i``."""
-    p = np.asarray(p, dtype=float)
-    check_alpha_tau(at, p)
-    sq = np.sqrt(p)
-    return GammaEta(gamma=sq * at.alpha, eta=sq * at.tau)
+    return mean, float(p @ scales**2 + p @ locs**2 - mean**2)
 
 
 def basis_rows(p: np.ndarray) -> np.ndarray:
@@ -326,14 +285,56 @@ def angular_from_standard(
     params: StandardParams,
 ) -> tuple[GlobalMoments, np.ndarray, AngularCoords]:
     """Invert :func:`standard_from_angular` starting from component parameters,
-    anchored on the mixture's own moments."""
-    mean, var = mixture_moments(params)
-    g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
-    at = to_alpha_tau(params, g)
-    ge = to_gamma_eta(at, params.weights)
-    phi, varpi = angles_from_gamma(ge.gamma, params.weights)
+    anchored on the mixture's own moments.
+
+    The checked wrapper of :func:`angular_arrays_from_standard`: it refuses a
+    rate-family mixture, and the containers check what they hold.
+    """
+    if params.family != "gaussian":
+        raise ValueError(
+            f"angular coordinates apply to location-scale mixtures, not a {params.family} mixture"
+        )
+    mu, sigma, weights, phi_sq, phi_sign, varpi, xi = angular_arrays_from_standard(
+        params.weights, params.locs, params.scales
+    )
+    coords = AngularCoords(phi_sq=phi_sq, varpi=varpi, xi=xi, phi_sign=phi_sign)
+    return GlobalMoments(mu=mu, sigma=sigma), weights, coords
+
+
+def angular_arrays_from_standard(
+    weights: np.ndarray, locs: np.ndarray, scales: np.ndarray
+) -> tuple[float, float, np.ndarray, float, int, np.ndarray, np.ndarray]:
+    """Array version of :func:`angular_from_standard`.
+
+    Returns ``(mu, sigma, weights, phi_sq, phi_sign, varpi, xi)``, the
+    arguments of :func:`standard_arrays_from_angular`, without constructing
+    parameter objects.  Besides what :func:`angles_from_gamma` and
+    :func:`angles_from_eta` check, it raises ``ValueError`` where the
+    mixture's own moments cannot anchor it: a ``sigma`` that is not positive,
+    a ``tau_i = sigma_i / sigma`` that underflows to 0, or sphere identities
+    ``sum sqrt(p_i) gamma_i = 0`` and ``sum (gamma_i^2 + eta_i^2) = 1`` off by
+    more than ``CONSTRAINT_TOL`` (the variance lost to cancellation when the
+    mean dwarfs the spread).  A mean whose square passes the float range
+    raises ``OverflowError``.
+    """
+    mu, var = _gaussian_moments(weights, locs, scales)
+    sigma = math.sqrt(var)
+    if not sigma > 0:
+        raise ValueError(f"the mixture's standard deviation must be strictly positive, got {sigma!r}")
+    tau = scales / sigma
+    if not (tau > 0).all():
+        raise ValueError("tau entries must be strictly positive: a component scale underflows "
+                         f"against the mixture's standard deviation {sigma!r}")
+    sqrt_p = np.sqrt(weights)
+    gamma = sqrt_p * ((locs - mu) / sigma)
+    eta = sqrt_p * tau
+    offset, norm = float(sqrt_p @ gamma), float(gamma @ gamma + eta @ eta)
+    if abs(offset) > CONSTRAINT_TOL or abs(norm - 1.0) > CONSTRAINT_TOL:
+        raise ValueError(
+            f"sphere identities violated: sum sqrt(p)*gamma = {offset!r}, "
+            f"sum (gamma^2 + eta^2) = {norm!r}"
+        )
+    phi, varpi = angles_from_gamma(gamma, weights)
     phi_sq = phi * phi
-    sign = 1 if params.k >= 3 or phi >= 0 else -1
-    xi = angles_from_eta(ge.eta, phi_sq)
-    coords = AngularCoords(phi_sq=min(phi_sq, 1.0), varpi=varpi, xi=xi, phi_sign=sign)
-    return g, params.weights, coords
+    phi_sign = 1 if len(weights) >= 3 or phi >= 0 else -1
+    return mu, sigma, weights, min(phi_sq, 1.0), phi_sign, varpi, angles_from_eta(eta, phi_sq)

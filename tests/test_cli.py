@@ -588,6 +588,25 @@ class TestFit:
         assert code == 2
         assert "strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["1000000", "1e18"])
+    def test_poisson_density_grid_is_bounded(self, tmp_path, capsys, count):
+        # a grid of one point per count held 5.4 million rows at 1e6, and at
+        # 1e18 could not be allocated
+        data = tmp_path / "counts.csv"
+        data.write_text(f"value\n{count}\n3\n")
+        out = tmp_path / "r"
+        code = main(["fit", "--family", "poisson", "--k", "2", "--iters", "20",
+                     "--burnin", "5", "--data", str(data), "--out", str(out)])
+        if code == 2 and count == "1e18":
+            assert "data" in capsys.readouterr().err
+            return
+        assert code == 0
+        header, *rows = read_rows(out / "density.csv")
+        grid = [float(row[header.index("x")]) for row in rows]
+        assert len(grid) <= 512
+        assert grid[0] == 0.0 and all(np.diff(grid) > 0) and all(np.mod(grid, 1) == 0)
+        assert grid[-1] > float(count)
+
     def test_identical_seeds_give_byte_identical_chains(self, gaussian_config, tmp_path):
         data = tmp_path / "data.csv"
         main(["simulate", "--config", str(gaussian_config), "--n", "30",

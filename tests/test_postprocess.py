@@ -604,6 +604,19 @@ class TestD2Seeding:
         with pytest.raises(ValueError, match="every restart produced an empty cluster"):
             kmeans(points, 4, seed=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_distances_refused_by_name_without_warnings(self):
+        # squared distances near 4e306 each sum past the float range; numpy's
+        # overflow warnings would be errors here
+        rng = np.random.default_rng(0)
+        points = np.concatenate([rng.normal(-1e153, 1e140, (50, 3)),
+                                 rng.normal(1e153, 1e140, (50, 3))])
+        with pytest.raises(ValueError, match="squared distances .* sum to inf"):
+            kmeans(points, 2, seed=1)
+        # one cluster needs no seeding, so the overflow shows in its objective
+        with pytest.raises(ValueError, match="objective is inf"):
+            kmeans(np.array([[-1e200], [1e200]]), 1)
+
     def test_exactly_k_distinct_points_always_fit(self):
         # every seeding picks the k distinct values, so no restart collapses
         points = np.repeat([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [1, 50, 7], axis=0)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixanchor import (
-    AlphaTau,
     AngularCoords,
     GlobalMoments,
     StandardParams,
@@ -17,14 +16,16 @@ from mixanchor import (
     angular_from_standard,
     build_basis,
     eta_from_angles,
-    from_alpha_tau,
     gamma_from_angles,
     mixture_moments,
     standard_from_angular,
-    to_alpha_tau,
-    to_gamma_eta,
 )
-from mixanchor.transforms import _angles_from_unit_rows, _unit_vector
+from mixanchor.transforms import (
+    _angles_from_unit_rows,
+    _unit_vector,
+    angular_arrays_from_standard,
+    standard_arrays_from_angular,
+)
 
 # Two well-separated components used throughout: weights (0.65, 0.35),
 # means (-8, -0.5), standard deviations (2, 1).
@@ -87,81 +88,100 @@ class TestMixtureMoments:
             assert abs(x.var() - var) < 4 * se_var
 
 
+def sphere_coords(params):
+    """``(gamma, eta)`` encoded by the angles ``angular_from_standard`` returns,
+    rebuilt through the forward maps."""
+    _, p, coords = angular_from_standard(params)
+    return gamma_from_angles(coords.radius, coords.varpi, p), eta_from_angles(coords.phi_sq, coords.xi)
+
+
 class TestAlphaTau:
+    """The offsets ``alpha = gamma / sqrt(p)`` and ratios ``tau = eta / sqrt(p)``
+    behind the inverse's angles."""
+
     def test_two_component_frozen_values(self):
-        g = GlobalMoments(mu=-5.375, sigma=math.sqrt(15.746875))
-        at = to_alpha_tau(TWO_COMP, g)
-        np.testing.assert_allclose(
-            at.alpha, [-0.6615034563645892, 1.2285064189628085], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            at.tau, [0.5040026334206394, 0.2520013167103197], atol=1e-12
-        )
+        gamma, eta = sphere_coords(TWO_COMP)
         p = TWO_COMP.weights
-        assert abs(p @ at.alpha) < 1e-12
-        assert abs(p @ (at.tau**2 + at.alpha**2) - 1) < 1e-12
+        alpha, tau = gamma / np.sqrt(p), eta / np.sqrt(p)
+        np.testing.assert_allclose(
+            alpha, [-0.6615034563645892, 1.2285064189628085], atol=1e-12
+        )
+        np.testing.assert_allclose(
+            tau, [0.5040026334206394, 0.2520013167103197], atol=1e-12
+        )
+        assert abs(p @ alpha) < 1e-12
+        assert abs(p @ (tau**2 + alpha**2) - 1) < 1e-12
 
     def test_identical_components_standardise_trivially(self):
         params = StandardParams("gaussian", [0.3, 0.7], [2.0, 2.0], [1.5, 1.5])
-        mean, var = mixture_moments(params)
-        at = to_alpha_tau(params, GlobalMoments(mu=mean, sigma=math.sqrt(var)))
-        np.testing.assert_allclose(at.alpha, 0.0, atol=1e-12)
-        np.testing.assert_allclose(at.tau, 1.0, atol=1e-12)
+        gamma, eta = sphere_coords(params)
+        np.testing.assert_allclose(gamma / np.sqrt(params.weights), 0.0, atol=1e-12)
+        np.testing.assert_allclose(eta / np.sqrt(params.weights), 1.0, atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             params = random_gaussian_params(rng, int(rng.integers(2, 7)))
             mean, var = mixture_moments(params)
-            g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
-            back = from_alpha_tau(to_alpha_tau(params, g), params.weights, g)
+            back = standard_from_angular(*angular_from_standard(params))
             np.testing.assert_allclose(back.locs, params.locs, atol=1e-12)
             np.testing.assert_allclose(back.scales, params.scales, atol=1e-12)
             m2, v2 = mixture_moments(back)
             assert abs(m2 - mean) < 1e-10 and abs(v2 - var) < 1e-10
 
     def test_inconsistent_global_moments_rejected(self):
-        with pytest.raises(ValueError, match="constraints"):
-            to_alpha_tau(TWO_COMP, GlobalMoments(mu=0.0, sigma=1.0))
+        # the mean dwarfs the spread, so the variance is lost to cancellation
+        # and the computed moments no longer anchor the components
+        params = StandardParams("gaussian", [0.3, 0.7], [2e7, 2e7 + 1.0], [0.5, 0.25])
+        with pytest.raises(ValueError, match="identities"):
+            angular_from_standard(params)
 
     def test_nonpositive_tau_rejected(self):
+        # sigma_2 / sigma underflows to 0 though every scale is positive
+        params = StandardParams("gaussian", [0.5, 0.5], [0.0, 1e16], [5e-324, 1.0])
         with pytest.raises(ValueError, match="tau"):
-            AlphaTau(alpha=[0.0, 0.0], tau=[1.0, -0.5])
+            angular_from_standard(params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_variance_refused_before_dividing(self):
+        # the squared scales underflow to 0, so the variance of equal components is 0
+        params = StandardParams("gaussian", [0.5, 0.5], [1.0, 1.0], [5e-324, 5e-324])
+        with pytest.raises(ValueError, match="standard deviation"):
+            angular_from_standard(params)
 
 
 class TestGammaEta:
+    """The sphere coordinates behind the inverse's angles."""
+
     def test_two_component_frozen_values(self):
-        g = GlobalMoments(mu=-5.375, sigma=math.sqrt(15.746875))
-        ge = to_gamma_eta(to_alpha_tau(TWO_COMP, g), TWO_COMP.weights)
+        gamma, eta = sphere_coords(TWO_COMP)
         np.testing.assert_allclose(
-            ge.gamma, [-0.5333211366601681, 0.7267941988633978], atol=1e-12
+            gamma, [-0.5333211366601681, 0.7267941988633978], atol=1e-12
         )
         np.testing.assert_allclose(
-            ge.eta, [0.40633991364584243, 0.14908598951044058], atol=1e-12
+            eta, [0.40633991364584243, 0.14908598951044058], atol=1e-12
         )
-        assert ge.phi_sq == pytest.approx(0.8126612423099819, abs=1e-12)
+        _, _, coords = angular_from_standard(TWO_COMP)
+        assert coords.phi_sq == pytest.approx(0.8126612423099819, abs=1e-12)
         # published truth lists the eta pair in the swapped component order;
         # compare as unordered sets
-        assert sorted(np.round(ge.eta, 3)) == [0.149, 0.406]
+        assert sorted(np.round(eta, 3)) == [0.149, 0.406]
 
     def test_zero_offsets(self):
-        p = np.array([0.2, 0.5, 0.3])
-        at = AlphaTau(alpha=np.zeros(3), tau=np.ones(3))
-        ge = to_gamma_eta(at, p)
-        np.testing.assert_allclose(ge.gamma, 0.0, atol=1e-15)
-        np.testing.assert_allclose(ge.eta, np.sqrt(p), atol=1e-15)
-        assert ge.phi_sq == 0.0
+        params = StandardParams("gaussian", [0.2, 0.5, 0.3], np.zeros(3), np.ones(3))
+        gamma, eta = sphere_coords(params)
+        np.testing.assert_allclose(gamma, 0.0, atol=1e-15)
+        np.testing.assert_allclose(eta, np.sqrt(params.weights), atol=1e-15)
+        assert angular_from_standard(params)[2].phi_sq == 0.0
 
     def test_sphere_identities_hold(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             params = random_gaussian_params(rng, int(rng.integers(2, 8)))
-            mean, var = mixture_moments(params)
-            g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
-            ge = to_gamma_eta(to_alpha_tau(params, g), params.weights)
+            gamma, eta = sphere_coords(params)
             sq = np.sqrt(params.weights)
-            assert abs(sq @ ge.gamma) < 1e-12
-            assert abs(np.sum(ge.gamma**2) + np.sum(ge.eta**2) - 1) < 1e-12
+            assert abs(sq @ gamma) < 1e-12
+            assert abs(np.sum(gamma**2) + np.sum(eta**2) - 1) < 1e-12
 
 
 class TestBasis:
@@ -396,6 +416,107 @@ class TestInverseAngleMap:
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def frozen_angular_from_standard(params):
+    """The object chain ``angular_from_standard`` ran before its array core
+    replaced it, kept as a reference: ``GlobalMoments``, the offsets and ratios
+    with the checks of the former ``AlphaTau`` container and ``check_alpha_tau``
+    (at 1e-8, then again at 1e-10), the sphere coordinates with the checks of
+    the former ``GammaEta`` container, then the angles and ``AngularCoords``."""
+    p, locs, scales = params.weights, params.locs, params.scales
+    mean = float(p @ locs)
+    var = float(p @ scales**2 + p @ locs**2 - mean**2)
+    g = GlobalMoments(mu=mean, sigma=math.sqrt(var))
+    alpha = (locs - g.mu) / g.sigma
+    tau = scales / g.sigma
+    if not np.all(tau > 0):
+        raise ValueError("tau entries must be strictly positive")
+    for tol in (1e-8, 1e-10):
+        s1, s2 = float(p @ alpha), float(p @ (tau**2 + alpha**2))
+        if abs(s1) > tol or abs(s2 - 1.0) > tol:
+            raise ValueError("offset/scale constraints violated")
+    sq = np.sqrt(p)
+    gamma, eta = sq * alpha, sq * tau
+    if np.any(np.abs(gamma) > 1 + 1e-10):
+        raise ValueError("gamma entries must lie in [-1, 1]")
+    if np.any(eta < -1e-10) or np.any(eta > 1 + 1e-10):
+        raise ValueError("eta entries must lie in [0, 1]")
+    if abs(float(np.sum(gamma**2) + np.sum(eta**2)) - 1.0) > 1e-10:
+        raise ValueError("(gamma, eta) must have unit norm")
+    phi, varpi = angles_from_gamma(gamma, p)
+    phi_sq = phi * phi
+    sign = 1 if params.k >= 3 or phi >= 0 else -1
+    xi = angles_from_eta(eta, phi_sq)
+    return g, p, AngularCoords(phi_sq=min(phi_sq, 1.0), varpi=varpi, xi=xi, phi_sign=sign)
+
+
+def _inverse_outcome(inverse, params):
+    """The bytes of every returned number, or the type of the exception raised."""
+    try:
+        g, p, coords = inverse(params)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    numbers = np.concatenate([[g.mu, g.sigma, coords.phi_sq, coords.phi_sign], p,
+                              coords.varpi, coords.xi])
+    return numbers.tobytes()
+
+
+def _hard_mixtures(rng, n):
+    """``n`` seeded Gaussian mixtures, k = 2-8, with locations spread up to
+    1e160 around centres up to 1e160 (or a few spreads away, where the variance
+    is lost to cancellation) and scales down to 1e-323."""
+    found = [StandardParams("gaussian", [0.5, 0.5], [0.0, 1e16], [5e-324, 1.0])]
+    while len(found) < n:
+        k = int(rng.integers(2, 9))
+        weights = rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0])))
+        spread = 10.0 ** rng.uniform(-20, 160)
+        if rng.random() < 0.5:
+            centre = 10.0 ** rng.uniform(-5, 160) * rng.choice([-1, 0, 1])
+        else:
+            centre = spread * 10.0 ** rng.uniform(2, 5) * rng.choice([-1, 1])
+        locs = centre + spread * rng.standard_normal(k)
+        if rng.random() < 0.5:
+            scales = 10.0 ** rng.uniform(-323, 160, size=k)
+        else:
+            scales = spread * np.exp(rng.standard_normal(k))
+        try:
+            found.append(StandardParams("gaussian", weights, locs, scales))
+        except ValueError:
+            continue  # a weight sum off by more than 1e-12, or an overflowed location
+    return found
+
+
+class TestInverseMatchesFrozenChain:
+    def test_bits_and_refusals_match_on_20000_mixtures(self):
+        outcomes = {}
+        with np.errstate(all="ignore"):
+            for params in _hard_mixtures(np.random.default_rng(29), 20_000):
+                want = _inverse_outcome(frozen_angular_from_standard, params)
+                assert _inverse_outcome(angular_from_standard, params) == want, params
+                kind = "accepted" if isinstance(want, bytes) else want.__name__
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+        # every branch is exercised: accepted, refused by a check, overflowed mean
+        assert min(outcomes.get(kind, 0) for kind in
+                   ("accepted", "ValueError", "OverflowError")) > 500, outcomes
+
+    def test_rate_family_refused_by_name(self):
+        with pytest.raises(ValueError, match="poisson"):
+            angular_from_standard(StandardParams("poisson", [0.5, 0.5], [1.0, 3.0]))
+
+    def test_array_core_round_trip(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            params = random_gaussian_params(rng, int(rng.integers(2, 9)))
+            mu, sigma, p, phi_sq, sign, varpi, xi = angular_arrays_from_standard(
+                params.weights, params.locs, params.scales
+            )
+            locs, scales, weights = standard_arrays_from_angular(
+                mu, sigma, p, phi_sq, sign, varpi, xi
+            )
+            np.testing.assert_allclose(locs, params.locs, rtol=0, atol=1e-12 * (1 + abs(mu)))
+            np.testing.assert_allclose(scales, params.scales, rtol=0, atol=1e-12 * sigma)
+            assert weights is params.weights
+
+
 class TestParamsRefuseNaN:
     def test_standard_params_refuses_nan_scale(self):
         with pytest.raises(ValueError, match="scales"):
@@ -412,7 +533,3 @@ class TestParamsRefuseNaN:
     def test_global_moments_refuses_nan_lam(self):
         with pytest.raises(ValueError, match="lam"):
             GlobalMoments(lam=math.nan)
-
-    def test_alpha_tau_refuses_nan_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            AlphaTau(alpha=[0.5, -0.5], tau=[math.nan, 0.5])
